@@ -6,8 +6,14 @@ mean-pooled, passed through a square projection, and L2-normalized
 with a 1e-12 smoothed norm. Parameters and optimizer moments are
 stored as float32 (the checkpoint dtype). Forward and backward
 passes run in float64 so finite-difference checks hold; the Adam
-update itself runs vectorized in float32, which keeps full-table
-updates cheap and checkpoint round trips bitwise exact.
+update itself runs vectorized in float32, which keeps checkpoint round
+trips bitwise exact.
+
+A batch touches a small share of the table, so the table gradient is
+sparse: the sorted unique rows of the batch and one gradient row each.
+Adam updates only the rows that have ever had a gradient. Every other
+row has zero moments and a zero gradient, which leaves it bitwise
+unchanged under the full-table update, so skipping it changes no byte.
 
 Checkpoint layout (little-endian, version 1):
     magic b"MPCL" | u32 version | u32 hash_bits | u32 dim | u32 adam_step
@@ -21,10 +27,11 @@ serialized.
 
 from __future__ import annotations
 
+import itertools
 import re
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +42,10 @@ _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 CHECKPOINT_MAGIC = b"MPCL"
 CHECKPOINT_VERSION = 1
+
+# Row-block size, in values, for gathered temporaries: small enough to
+# stay in cache and to keep peak memory flat as batches grow.
+_CHUNK_VALUES = 1 << 15
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -116,6 +127,13 @@ class EncodeCache:
 
 @dataclass
 class ParamGrads:
+    """Parameter gradients with the table part stored by row.
+
+    rows holds sorted unique table row indices and embedding_table their
+    gradients, one row each; every other table row has a zero gradient.
+    """
+
+    rows: np.ndarray
     embedding_table: np.ndarray
     projection: np.ndarray
 
@@ -147,7 +165,8 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
 
     Backpropagates through the smoothed normalization (the same 1e-12
     norm used forward), the projection, the mean pool, and finally
-    scatter-adds into the embedding table so repeated tokens accumulate.
+    scatter-adds into the rows the batch touched so repeated tokens
+    accumulate. Each row sums its contributions in batch order.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.projected.shape:
@@ -166,10 +185,20 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
     grad_pooled = grad_v @ proj64.T
     grad_proj = cache.pooled.T @ grad_v
 
-    grad_table = np.zeros(params.embedding_table.shape, dtype=np.float64)
-    for b, ids in enumerate(cache.token_ids):
-        np.add.at(grad_table, np.asarray(ids, dtype=np.intp), grad_pooled[b] / len(ids))
-    return ParamGrads(grad_table, grad_proj)
+    lengths = np.array([len(ids) for ids in cache.token_ids], dtype=np.intp)
+    flat_ids = np.fromiter(
+        itertools.chain.from_iterable(cache.token_ids), dtype=np.intp, count=int(lengths.sum())
+    )
+    rows, slot = np.unique(flat_ids, return_inverse=True)
+    grad_rows = np.zeros((len(rows), params.dim), dtype=np.float64)
+    grad_pooled /= lengths[:, None]  # each token's share of its sequence's gradient
+    seq_of_token = np.repeat(np.arange(len(lengths)), lengths)
+    # token blocks bound the per-token temporary; in order, so each row
+    # still sums its contributions in batch order
+    chunk = max(1, _CHUNK_VALUES // params.dim)
+    for lo in range(0, len(flat_ids), chunk):
+        np.add.at(grad_rows, slot[lo : lo + chunk], grad_pooled[seq_of_token[lo : lo + chunk]])
+    return ParamGrads(rows, grad_rows, grad_proj)
 
 
 @dataclass
@@ -182,6 +211,9 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Per table row: may the moments be nonzero? Not serialized; None
+    # means "derive it from m and v".
+    touched: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "OptimizerState":
@@ -190,7 +222,40 @@ class OptimizerState:
             m_projection=np.zeros_like(params.projection),
             v_table=np.zeros_like(params.embedding_table),
             v_projection=np.zeros_like(params.projection),
+            touched=np.zeros(params.embedding_table.shape[0], dtype=bool),
         )
+
+    def touched_rows(self) -> np.ndarray:
+        """The touched-row mask, rebuilt from the moments when unknown.
+
+        Any set bit marks a row, -0.0 included: a step with a zero
+        gradient turns a -0.0 moment into +0.0.
+        """
+        if self.touched is None:
+            self.touched = _any_bit_set(self.m_table) | _any_bit_set(self.v_table)
+        return self.touched
+
+
+def _any_bit_set(table: np.ndarray) -> np.ndarray:
+    return table.view(np.uint32).any(axis=1)
+
+
+def _adam_update(p, m, v, g, b1, b2, c2, step_size, eps) -> None:
+    """In-place float32 Adam on matching arrays; g is overwritten."""
+    # python-float scalars keep the float32 dtype of the arrays
+    buf = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += buf
+    np.square(g, out=g)
+    g *= 1.0 - b2
+    v *= b2
+    v += g
+    np.divide(v, c2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += eps
+    buf /= step_size  # fold the scalar so p -= m / denom
+    np.divide(m, buf, out=buf)
+    p -= buf
 
 
 def adam_step(
@@ -198,9 +263,10 @@ def adam_step(
 ) -> tuple[ModelParams, OptimizerState]:
     """One in-place Adam update with bias correction.
 
-    Moments and parameters are float32 and updated with in-place
-    vectorized ops; the full-table update dominates a training step,
-    so no float64 round trip is taken here.
+    Moments and parameters are float32. Only table rows that have ever
+    had a gradient are updated: a row with zero moments and a zero
+    gradient is left bitwise unchanged by the update, and every op is
+    elementwise, so the result equals a full-table update byte for byte.
     """
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -212,32 +278,30 @@ def adam_step(
             )
     state.step += 1
     t = state.step
-    # python-float scalars keep the float32 dtype of the arrays
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     step_size = lr / (1.0 - b1**t)
     c2 = 1.0 - b2**t
-    updates = (
-        (params.embedding_table, state.m_table, state.v_table, grads.embedding_table),
-        (params.projection, state.m_projection, state.v_projection, grads.projection),
+
+    touched = state.touched_rows()
+    touched[grads.rows] = True
+    rows = np.flatnonzero(touched)
+    g = np.zeros((len(rows), params.dim), dtype=np.float32)
+    g[np.searchsorted(rows, grads.rows)] = grads.embedding_table
+    tables = (params.embedding_table, state.m_table, state.v_table)
+    # gathered blocks small enough to stay in cache between the ops
+    chunk = max(1, _CHUNK_VALUES // params.dim)
+    for lo in range(0, len(rows), chunk):
+        block = rows[lo : lo + chunk]
+        p, m, v = (np.take(a, block, axis=0) for a in tables)
+        _adam_update(p, m, v, g[lo : lo + chunk], b1, b2, c2, step_size, eps)
+        for a, part in zip(tables, (p, m, v)):
+            a[block] = part
+
+    g = np.array(grads.projection, dtype=np.float32)
+    _adam_update(
+        params.projection, state.m_projection, state.v_projection, g, b1, b2, c2, step_size, eps
     )
-    for p, m, v, g in updates:
-        g32 = np.asarray(g, dtype=np.float32)
-        if g32 is g:
-            g32 = g32.copy()  # squared in place below
-        m *= b1
-        m += (1.0 - b1) * g32
-        np.square(g32, out=g32)
-        v *= b2
-        v += (1.0 - b2) * g32
-        denom = np.sqrt(v / c2)
-        denom += state.eps
-        denom /= step_size  # fold the scalar so p -= m / denom
-        p -= m / denom
     return params, state
-
-
-def _array_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
 
 
 def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> None:
@@ -248,8 +312,10 @@ def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> No
         params.dim,
         state.step,
     )
-    body = b"".join(
-        _array_bytes(a)
+    crc = zlib.crc32(header)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        # stream each array; the CRC runs over the same bytes as they go out
         for a in (
             params.embedding_table,
             params.projection,
@@ -257,12 +323,11 @@ def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> No
             state.m_projection,
             state.v_table,
             state.v_projection,
-        )
-    )
-    blob = header + body
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        ):
+            data = memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B")
+            crc = zlib.crc32(data, crc)
+            fh.write(data)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:

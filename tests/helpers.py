@@ -1,8 +1,8 @@
 """Shared oracles and generators for the test suite.
 
 The oracles are deliberately naive (double loops, direct formulas,
-exhaustive enumeration) so they cannot share bugs with the vectorized
-implementations they check.
+exhaustive enumeration, dense full-table updates) so they cannot share
+bugs with the vectorized and sparse implementations they check.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from multipos.encoder import EncodeCache, ModelParams, OptimizerState, ParamGrads
 
 
 def rel_err(a, b, floor: float = 1e-12) -> float:
@@ -159,3 +161,62 @@ def mining_oracle(src, tgt, gold):
         if best is None or f1 > best[0]:
             best = (f1, p, r, th)
     return best
+
+
+def full_grads(table_grad, projection_grad) -> ParamGrads:
+    """ParamGrads that list every table row, built from a dense table gradient."""
+    table_grad = np.asarray(table_grad)
+    return ParamGrads(np.arange(table_grad.shape[0]), table_grad, projection_grad)
+
+
+def densify(grads: ParamGrads, rows_total: int) -> np.ndarray:
+    """The dense table gradient: zeros outside grads.rows."""
+    table = np.zeros((rows_total, grads.embedding_table.shape[1]), dtype=grads.embedding_table.dtype)
+    table[grads.rows] = grads.embedding_table
+    return table
+
+
+def dense_encode_backward(params: ModelParams, cache: EncodeCache, grad_output) -> ParamGrads:
+    """Reference backward pass: scatter into a dense table, one sequence at a time."""
+    g = np.asarray(grad_output, dtype=np.float64)
+    v = cache.projected
+    n = cache.smooth_norms
+    raw = cache.raw_norms
+    grad_v = g / n[:, None]
+    nz = raw > 0.0
+    if nz.any():
+        coef = (v[nz] * g[nz]).sum(axis=1) / (n[nz] * n[nz] * raw[nz])
+        grad_v[nz] -= v[nz] * coef[:, None]
+    proj64 = params.projection.astype(np.float64)
+    grad_pooled = grad_v @ proj64.T
+    grad_proj = cache.pooled.T @ grad_v
+    grad_table = np.zeros(params.embedding_table.shape, dtype=np.float64)
+    for b, ids in enumerate(cache.token_ids):
+        np.add.at(grad_table, np.asarray(ids, dtype=np.intp), grad_pooled[b] / len(ids))
+    return full_grads(grad_table, grad_proj)
+
+
+def dense_adam_step(params: ModelParams, state: OptimizerState, grads: ParamGrads, lr: float):
+    """Reference Adam: every table row, touched or not, takes the float32 update."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    step_size = lr / (1.0 - b1**t)
+    c2 = 1.0 - b2**t
+    updates = (
+        (params.embedding_table, state.m_table, state.v_table,
+         densify(grads, params.embedding_table.shape[0])),
+        (params.projection, state.m_projection, state.v_projection, grads.projection),
+    )
+    for p, m, v, g in updates:
+        g32 = np.array(g, dtype=np.float32)
+        m *= b1
+        m += (1.0 - b1) * g32
+        np.square(g32, out=g32)
+        v *= b2
+        v += (1.0 - b2) * g32
+        denom = np.sqrt(v / c2)
+        denom += state.eps
+        denom /= step_size
+        p -= m / denom
+    return params, state

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from multipos import encoder as encoder_mod
 from multipos.encoder import (
     CheckpointChecksumError,
     CheckpointError,
@@ -23,7 +24,13 @@ from multipos.encoder import (
 )
 from multipos.losses import LossConfig, multi_positive_loss
 
-from helpers import grad_rel_err
+from helpers import (
+    dense_adam_step,
+    dense_encode_backward,
+    densify,
+    full_grads,
+    grad_rel_err,
+)
 
 
 def test_fnv1a_reference_vectors():
@@ -151,11 +158,30 @@ def test_backward_shared_token_additivity():
     only_a = encode_backward(params, ca, g[:1])
     only_b = encode_backward(params, cb, g[1:])
     assert np.allclose(
-        both.embedding_table[9],
-        only_a.embedding_table[9] + only_b.embedding_table[9],
+        densify(both, 16)[9],
+        densify(only_a, 16)[9] + densify(only_b, 16)[9],
         rtol=1e-12,
         atol=0,
     )
+
+
+@pytest.mark.parametrize("chunk_values", [None, 7])
+def test_sparse_backward_matches_dense_oracle(monkeypatch, chunk_values):
+    if chunk_values is not None:  # many token blocks, each smaller than a sequence
+        monkeypatch.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
+    rng = np.random.default_rng(13)
+    params = _params(rng, hash_bits=6, dim=5)
+    # the empty-text id 0, tokens repeated within and across sequences
+    batch = [[0], [3, 3, 7], [7, 0, 63, 3]] + [
+        [int(x) for x in rng.integers(0, 64, size=int(rng.integers(1, 12)))] for _ in range(60)
+    ]
+    _, cache = encode(params, batch)
+    g = rng.normal(size=(len(batch), 5))
+    sparse = encode_backward(params, cache, g)
+    dense = dense_encode_backward(params, cache, g)
+    assert np.array_equal(sparse.rows, np.unique(np.concatenate(batch)))
+    assert densify(sparse, 64).tobytes() == dense.embedding_table.tobytes()
+    assert sparse.projection.tobytes() == dense.projection.tobytes()
 
 
 def test_end_to_end_gradient_matches_finite_differences():
@@ -175,9 +201,8 @@ def test_end_to_end_gradient_matches_finite_differences():
     grads = encode_backward(params, cache, grad_rows)
 
     h = 1e-4
-    for name in ("embedding_table", "projection"):
+    for name, analytic in (("embedding_table", densify(grads, 8)), ("projection", grads.projection)):
         arr = getattr(params, name)
-        analytic = getattr(grads, name)
         fd = np.zeros(arr.shape, dtype=np.float64)
         flat = arr.reshape(-1)
         fd_flat = fd.reshape(-1)
@@ -198,7 +223,7 @@ def test_adam_first_step_magnitude():
     table = np.zeros((2, 1), dtype=np.float32)
     params = ModelParams(table, np.eye(1, dtype=np.float32), 1, 1)
     state = OptimizerState.fresh(params)
-    g = ParamGrads(np.array([[0.3], [0.0]]), np.zeros((1, 1)))
+    g = full_grads(np.array([[0.3], [0.0]]), np.zeros((1, 1)))
     adam_step(params, state, g, lr=1e-2)
     assert state.step == 1
     # bias-corrected first step is lr * g / (|g| + eps), sign opposite g
@@ -211,7 +236,7 @@ def test_adam_zero_gradient_zero_state_is_noop():
     params = _params(rng)
     before = params.embedding_table.copy()
     state = OptimizerState.fresh(params)
-    adam_step(params, state, ParamGrads(np.zeros((16, 6)), np.zeros((6, 6))), lr=0.1)
+    adam_step(params, state, full_grads(np.zeros((16, 6)), np.zeros((6, 6))), lr=0.1)
     assert np.array_equal(params.embedding_table, before)
     assert state.step == 1
 
@@ -226,7 +251,7 @@ def test_adam_matches_float64_reference():
     lr = 3e-3
     for t in range(1, 6):
         g = rng.normal(size=p_ref.shape)
-        adam_step(params, state, ParamGrads(g.copy(), np.zeros((3, 3))), lr)
+        adam_step(params, state, full_grads(g.copy(), np.zeros((3, 3))), lr)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1.0 - 0.9**t)
@@ -237,7 +262,7 @@ def test_adam_matches_float64_reference():
 
 def test_adam_determinism_and_errors():
     rng = np.random.default_rng(11)
-    g = ParamGrads(rng.normal(size=(16, 6)), rng.normal(size=(6, 6)))
+    g = full_grads(rng.normal(size=(16, 6)), rng.normal(size=(6, 6)))
 
     finals = []
     for _ in range(2):
@@ -252,14 +277,49 @@ def test_adam_determinism_and_errors():
     state = OptimizerState.fresh(params)
     with pytest.raises(ValueError):
         adam_step(params, state, g, lr=0.0)
-    bad = ParamGrads(np.zeros((16, 6)), np.zeros((6, 6)))
+    bad = full_grads(np.zeros((16, 6)), np.zeros((6, 6)))
     bad.projection[0, 0] = float("nan")
     with pytest.raises(NonFiniteGradientError, match="projection"):
         adam_step(params, state, bad, lr=1e-2)
-    bad2 = ParamGrads(np.zeros((16, 6)), np.zeros((6, 6)))
+    bad2 = full_grads(np.zeros((16, 6)), np.zeros((6, 6)))
     bad2.embedding_table[3, 1] = float("inf")
     with pytest.raises(NonFiniteGradientError, match="embedding_table"):
         adam_step(params, state, bad2, lr=1e-2)
+
+
+def _state_bytes(params, state) -> bytes:
+    arrays = (params.embedding_table, params.projection, state.m_table, state.m_projection,
+              state.v_table, state.v_projection)
+    return b"".join(a.tobytes() for a in arrays) + state.step.to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("chunk_values", [None, 4])
+def test_adam_matches_dense_oracle_after_resume(tmp_path, monkeypatch, chunk_values):
+    if chunk_values is not None:  # one row per block
+        monkeypatch.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
+    rng = np.random.default_rng(14)
+    params = _params(rng, hash_bits=5, dim=4)
+    state = OptimizerState.fresh(params)
+    # rows 1-3 get gradients in the first two steps and never again
+    for _ in range(2):
+        rows = np.array([1, 2, 3])
+        adam_step(params, state, ParamGrads(rows, rng.normal(size=(3, 4)), rng.normal(size=(4, 4))), 1e-2)
+    # -0.0 moments in otherwise untouched rows: a zero-gradient step makes them +0.0
+    state.m_table[9, 2] = -0.0
+    state.v_table[10, 0] = -0.0
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(params, state, path)
+
+    resumed = load_checkpoint(path)
+    oracle = load_checkpoint(path)
+    for _ in range(4):
+        rows = np.unique(rng.integers(12, 32, size=5))
+        grads = ParamGrads(rows, rng.normal(size=(len(rows), 4)), rng.normal(size=(4, 4)))
+        adam_step(*resumed, grads, 1e-2)
+        dense_adam_step(*oracle, grads, 1e-2)
+        assert _state_bytes(*resumed) == _state_bytes(*oracle)
+    assert not np.signbit(oracle[1].m_table[9, 2])  # the oracle did rewrite the -0.0
+    assert resumed[1].touched[[1, 2, 3, 9, 10]].all() and not resumed[1].touched[[0, 4, 11]].any()
 
 
 def _trained_pair(seed=12):
@@ -267,7 +327,7 @@ def _trained_pair(seed=12):
     params = _params(rng, hash_bits=4, dim=6)
     state = OptimizerState.fresh(params)
     for _ in range(3):
-        g = ParamGrads(rng.normal(size=(16, 6)), rng.normal(size=(6, 6)))
+        g = full_grads(rng.normal(size=(16, 6)), rng.normal(size=(6, 6)))
         adam_step(params, state, g, lr=1e-2)
     return params, state
 

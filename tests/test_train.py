@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from multipos.data import SentenceGroup, gen_cipher_corpus
-from multipos.encoder import ParamGrads, load_checkpoint
+from multipos.encoder import load_checkpoint
 from multipos.train import (
     NonFiniteLossError,
     TrainConfig,
@@ -17,6 +19,8 @@ from multipos.train import (
     train,
     write_log_jsonl,
 )
+
+from helpers import dense_adam_step, dense_encode_backward, densify, full_grads
 
 
 def _groups(n, langs=("a", "b", "c")):
@@ -218,19 +222,69 @@ def test_dataset_fn_supplies_each_epoch():
         return _groups(4)
 
     res = train(_small_cfg(epochs=3), [], dataset_fn=per_epoch)
-    assert calls[0] == 0
-    assert [e for e in calls if e > 0] == [1, 2]
+    assert calls == [0, 1, 2]
     assert len(res.records) == 3
 
 
+def test_step_clock_includes_batch_building(monkeypatch):
+    train_mod = sys.modules["multipos.train"]
+    real = train_mod.make_batches
+
+    def slow_batches(*args, **kwargs):
+        for batch in real(*args, **kwargs):
+            time.sleep(0.02)
+            yield batch
+
+    monkeypatch.setattr(train_mod, "make_batches", slow_batches)
+    res = train(_small_cfg(epochs=2), _groups(8))
+    assert len(res.records) == 4
+    assert all(r.wall_ms >= 20.0 for r in res.records), [r.wall_ms for r in res.records]
+
+
+def _oracle_groups(epoch):
+    """Eight groups per epoch: a word repeated in every sentence, a word seen
+    in this epoch only, hard negatives, and one empty text (token id 0)."""
+    groups = []
+    for i in range(8):
+        texts = {lang: f"{lang} w{i} w{i} once{epoch}x{i}" for lang in ("a", "b", "c")}
+        if i == 0:
+            texts["b"] = "?!"
+        negs = {lang: f"{lang} neg{i} once{epoch}n{i}" for lang in ("a", "b", "c")}
+        groups.append(SentenceGroup(id=f"g{i}", texts=texts, hard_negatives=negs))
+    return groups
+
+
+@pytest.mark.parametrize("objective", ["multi", "single"])
+def test_training_matches_dense_oracle(monkeypatch, objective):
+    # the first three steps run the single objective at the warm-up rate
+    cfg = _small_cfg(
+        epochs=3, k_positives=2, use_hard_negatives=True, warmup_enabled=True, warmup_steps=3,
+        objective=objective, hash_bits=10,
+    )
+    sparse = train(cfg, [], dataset_fn=_oracle_groups)
+    assert not sparse.opt_state.touched.all()  # untouched rows were skipped
+
+    train_mod = sys.modules["multipos.train"]
+    monkeypatch.setattr(train_mod, "encode_backward", dense_encode_backward)
+    monkeypatch.setattr(train_mod, "adam_step", dense_adam_step)
+    dense = train(cfg, [], dataset_fn=_oracle_groups)
+
+    assert [r.loss for r in sparse.records] == [r.loss for r in dense.records]
+    assert sparse.opt_state.step == dense.opt_state.step == 6
+    for name in ("embedding_table", "projection"):
+        assert getattr(sparse.params, name).tobytes() == getattr(dense.params, name).tobytes()
+    for name in ("m_table", "m_projection", "v_table", "v_projection"):
+        assert getattr(sparse.opt_state, name).tobytes() == getattr(dense.opt_state, name).tobytes()
+
+
 def test_clip_grads():
-    g = ParamGrads(np.full((2, 2), 3.0), np.full((2, 2), 4.0))
+    g = full_grads(np.full((2, 2), 3.0), np.full((2, 2), 4.0))
     _clip_grads(g, 5.0)  # total norm is 10, so everything halves
-    assert np.array_equal(g.embedding_table, np.full((2, 2), 1.5))
+    assert np.array_equal(densify(g, 2), np.full((2, 2), 1.5))
     assert np.array_equal(g.projection, np.full((2, 2), 2.0))
-    before = g.embedding_table.copy()
+    before = densify(g, 2)
     _clip_grads(g, 100.0)
-    assert np.array_equal(g.embedding_table, before)
+    assert np.array_equal(densify(g, 2), before)
 
 
 def test_training_with_clipping_runs():
