@@ -45,7 +45,6 @@ from .evaluation import (
     spearman,
     sts_eval,
 )
-from .losses import DegenerateInputError
 from .train import NonFiniteLossError, TrainConfig, load_config, train, write_log_jsonl
 
 
@@ -554,7 +553,6 @@ def run(argv: list[str]) -> CommandOutcome:
     except (
         NonFiniteLossError,
         NonFiniteGradientError,
-        DegenerateInputError,
         FloatingPointError,
         ValueError,
     ) as exc:

@@ -28,6 +28,7 @@ serialized.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import struct
 import zlib
@@ -331,44 +332,47 @@ def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> No
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
     header_size = 4 + struct.calcsize("<IIII")
-    if len(blob) < header_size + 4:
-        raise CheckpointChecksumError(f"{path}: truncated checkpoint")
-    version, hash_bits, dim, step = struct.unpack("<IIII", blob[4:header_size])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    rows = 1 << hash_bits
-    table_n = rows * dim
-    proj_n = dim * dim
-    expected = header_size + 4 * (2 * table_n + 2 * proj_n + table_n + proj_n) + 4
-    if len(blob) != expected:
-        raise CheckpointChecksumError(
-            f"{path}: size {len(blob)} does not match the declared shapes ({expected})"
-        )
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
+        size = os.fstat(fh.fileno()).st_size
+        if size < header_size + 4:
+            raise CheckpointChecksumError(f"{path}: truncated checkpoint")
+        fields = fh.read(header_size - 4)
+        version, hash_bits, dim, step = struct.unpack("<IIII", fields)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        # A corrupt header can declare any shape: check the size it implies
+        # before allocating anything.
+        if hash_bits >= 64:
+            raise CheckpointChecksumError(f"{path}: declared hash_bits {hash_bits} is out of range")
+        table_shape = (1 << hash_bits, dim)
+        proj_shape = (dim, dim)
+        expected = header_size + 4 * 3 * (table_shape[0] * dim + dim * dim) + 4
+        if size != expected:
+            raise CheckpointChecksumError(
+                f"{path}: size {size} does not match the declared shapes ({expected})"
+            )
+
+        # read each array in place; the CRC runs over the same bytes as they come in
+        crc = zlib.crc32(magic + fields)
+        arrays = []
+        for shape in (table_shape, proj_shape) * 3:
+            a = np.empty(shape, dtype="<f4")
+            data = memoryview(a).cast("B")
+            if fh.readinto(data) != len(data):
+                raise CheckpointChecksumError(f"{path}: truncated checkpoint")
+            crc = zlib.crc32(data, crc)
+            arrays.append(a)
+        (stored_crc,) = struct.unpack("<I", fh.read(4))
+    if crc & 0xFFFFFFFF != stored_crc:
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
 
-    offset = header_size
-
-    def take(n: int, shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        a = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape).copy()
-        offset += 4 * n
-        return a
-
-    table = take(table_n, (rows, dim))
-    proj = take(proj_n, (dim, dim))
-    m_table = take(table_n, (rows, dim))
-    m_proj = take(proj_n, (dim, dim))
-    v_table = take(table_n, (rows, dim))
-    v_proj = take(proj_n, (dim, dim))
+    table, proj, m_table, m_proj, v_table, v_proj = arrays
     params = ModelParams(table, proj, hash_bits=hash_bits, dim=dim)
     state = OptimizerState(m_table, m_proj, v_table, v_proj, step=step)
     return params, state

@@ -95,24 +95,32 @@ def mine_pairs_f1(src_embs, tgt_embs, gold_pairs, threshold: float | None = None
     sims = src @ tgt.T
     best = sims.argmax(axis=1)
     scores = sims[np.arange(src.shape[0]), best]
-
-    def scored(th: float) -> tuple[float, float, float]:
-        pred = {(int(i), int(best[i])) for i in range(src.shape[0]) if scores[i] >= th}
-        tp = len(pred & gold)
-        precision = tp / len(pred) if pred else 0.0
-        recall = tp / len(gold)
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        return f1, precision, recall
+    n_tgt = tgt.shape[0]
+    hit = np.isin(np.arange(src.shape[0]) * n_tgt + best, [i * n_tgt + j for i, j in gold])
 
     if threshold is not None:
-        f1, p, r = scored(threshold)
-        return MiningResult(f1, p, r, float(threshold))
-    best_out: MiningResult | None = None
-    for th in sorted({float(s) for s in scores}, reverse=True):
-        f1, p, r = scored(th)
-        if best_out is None or f1 > best_out.f1:
-            best_out = MiningResult(f1, p, r, th)
-    return best_out
+        kept = scores >= threshold
+        f1, p, r = _f1_scores(hit[kept].sum(), kept.sum(), len(gold))
+        return MiningResult(float(f1), float(p), float(r), float(threshold))
+    # Nominations by descending score: the true positives of every
+    # threshold are a running sum, and the last rank of each run of equal
+    # scores closes one threshold.
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    f1, p, r = _f1_scores(np.cumsum(hit[order])[ends], ends + 1, len(gold))
+    top = int(np.argmax(f1))  # the first maximum: equal F1 keeps the higher threshold
+    return MiningResult(float(f1[top]), float(p[top]), float(r[top]), float(ranked[ends[top]]))
+
+
+def _f1_scores(tp, predicted, n_gold: int):
+    """F1, precision and recall per threshold; 0 where undefined."""
+    tp = np.asarray(tp, dtype=np.float64)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=np.asarray(predicted) > 0)
+    recall = tp / n_gold
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros_like(tp), where=total > 0)
+    return f1, precision, recall
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

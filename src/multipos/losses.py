@@ -3,27 +3,26 @@
 Similarities are plain dot products, so callers are expected to pass
 unit-norm rows (dot equals cosine on the unit sphere; the encoder
 guarantees this). All arithmetic runs in float64 and softmax terms are
-evaluated in the log domain with max subtraction, summing in candidate
-order so repeated calls are bit-identical.
+evaluated in the log domain with max subtraction.
 
-Candidate layout for anchor i, in order: the K positives of group i,
-then the other N-1 anchors by ascending index, then the optional hard
-negative of group i. The denominator always includes the numerator
-terms, so every per-anchor loss is non-negative.
+Both objectives build one N x C score matrix, one row per anchor, and
+do the rest row-wise with array ops: normalization, log-sum-exp, and
+the gradient, which flows back to the inputs through matrix products.
+Candidate layout for anchor i, in column order: the K positives of
+group i, then the other N-1 anchors by ascending index, then the
+optional hard negative of group i, so C = K + N-1 (+1). The
+denominator always includes the numerator terms, so every per-anchor
+loss is non-negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 NORMALIZATIONS = ("min_max", "identity")
-
-
-class DegenerateInputError(ValueError):
-    """A zero-norm vector was passed where a direction is required."""
 
 
 @dataclass
@@ -34,13 +33,10 @@ class LossConfig:
     normalization: per-anchor score transform used by the multi-positive
         objective ("min_max" or "identity"). The single-positive
         objective always consumes raw similarities.
-    use_hard_negatives: plumbing flag for the trainer; the loss itself
-        uses whatever hard negatives the caller passes explicitly.
     """
 
     tau: float = 0.05
     normalization: str = "min_max"
-    use_hard_negatives: bool = False
 
     def __post_init__(self) -> None:
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
@@ -52,26 +48,6 @@ class LossConfig:
 
 
 @dataclass
-class SimilarityRow:
-    """One anchor's candidate similarities, positives first."""
-
-    anchor_index: int
-    candidate_scores: list[float]
-    positive_count: int
-
-    def __post_init__(self) -> None:
-        if self.anchor_index < 0:
-            raise ValueError("anchor_index must be non-negative")
-        if self.positive_count < 1:
-            raise ValueError("positive_count must be at least 1")
-        if self.positive_count >= len(self.candidate_scores):
-            raise ValueError("a similarity row needs at least one negative candidate")
-        for x in self.candidate_scores:
-            if not math.isfinite(x):
-                raise ValueError("candidate scores must be finite")
-
-
-@dataclass
 class LossOutput:
     """Loss value in nats plus gradients matching the input shapes."""
 
@@ -79,38 +55,25 @@ class LossOutput:
     grad_anchor: np.ndarray
     grad_positives: np.ndarray
     grad_hard_negatives: np.ndarray | None = None
-    rows: list[SimilarityRow] = field(default_factory=list, repr=False)
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two 1-d vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-d vectors, got {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("non-finite input to cosine_sim")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm input")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def minmax_normalize(scores, tau: float) -> np.ndarray:
-    """Affine-map scores to [-1/tau, 1/tau]; all zeros when max == min."""
+    """Affine-map each row (last axis) to [-1/tau, 1/tau].
+
+    A row whose max equals its min maps to all zeros.
+    """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a non-empty 1-d sequence")
+    if s.ndim == 0 or s.size == 0:
+        raise ValueError("scores must be a non-empty sequence of rows")
     if not np.isfinite(s).all():
         raise ValueError("non-finite scores")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    lo = s.min()
-    hi = s.max()
-    if hi == lo:
-        return np.zeros_like(s)
-    return ((s - lo) / (hi - lo) * 2.0 - 1.0) / tau
+    lo = s.min(axis=-1, keepdims=True)
+    span = s.max(axis=-1, keepdims=True) - lo
+    flat = span == 0.0
+    z = ((s - lo) / np.where(flat, 1.0, span) * 2.0 - 1.0) / tau
+    return np.where(flat, 0.0, z)
 
 
 def _validate_rows(name: str, x: np.ndarray, dim: int | None) -> None:
@@ -150,71 +113,68 @@ def _loss_kernel(
             raise ValueError(f"hard_negatives shape {H.shape}, expected {(N, d)}")
         _validate_rows("hard_negatives", H, d)
 
-    grad_a = np.zeros_like(A)
-    grad_p = np.zeros_like(P)
-    grad_h = np.zeros_like(H) if H is not None else None
-    rows: list[SimilarityRow] = []
-    total = 0.0
+    off_diag = ~np.eye(N, dtype=bool)
+    s = np.empty((N, K + N - 1 + (H is not None)))
+    s[:, :K] = np.einsum("nkd,nd->nk", P, A)
+    # row-major order of the off-diagonal entries is ascending j != i
+    s[:, K : K + N - 1] = (A @ A.T)[off_diag].reshape(N, N - 1)
+    if H is not None:
+        s[:, -1] = np.einsum("nd,nd->n", H, A)
 
-    for i in range(N):
-        others = np.concatenate([np.arange(i), np.arange(i + 1, N)])
-        cand = np.concatenate([P[i], A[others]], axis=0)
-        if H is not None:
-            cand = np.concatenate([cand, H[i : i + 1]], axis=0)
-        s = cand @ A[i]
-        rows.append(SimilarityRow(i, [float(x) for x in s], K))
+    if normalization == "min_max":
+        z = minmax_normalize(s, tau) / tau
+    else:
+        z = s / tau
 
-        if normalization == "min_max":
-            z = minmax_normalize(s, tau) / tau
-        else:
-            z = s / tau
+    # Rebase the numerator on its own max so it never underflows to
+    # log(0); when a positive holds the global max both rebases
+    # coincide and den >= num holds exactly in floating point.
+    zmax = z.max(axis=1, keepdims=True)
+    zpmax = z[:, :K].max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    ep = np.exp(z[:, :K] - zpmax)
+    den = e.sum(axis=1, keepdims=True)
+    num = ep.sum(axis=1, keepdims=True)
+    li = (zmax + np.log(den)) - (zpmax + np.log(num))
+    # the two sums round independently, so a -1e-16 residue can appear
+    # when the positives hold all the mass; the true value is >= 0
+    value = float(np.maximum(li, 0.0).sum()) / N
 
-        # Rebase the numerator on its own max so it never underflows to
-        # log(0); when a positive holds the global max both rebases
-        # coincide and den >= num holds exactly in floating point.
-        zmax = z.max()
-        zpmax = z[:K].max()
-        e = np.exp(z - zmax)
-        ep = np.exp(z[:K] - zpmax)
-        den = e.sum()
-        num = ep.sum()
-        li = (zmax + math.log(den)) - (zpmax + math.log(num))
-        # the two sums round independently, so a -1e-16 residue can
-        # appear when the positives hold all the mass; the true value
-        # is >= 0
-        total += li if li > 0.0 else 0.0
+    g = e / den
+    g[:, :K] -= ep / num
 
-        g = e / den
-        g[:K] -= ep / num
+    if normalization == "min_max":
+        lo = s.min(axis=1, keepdims=True)
+        span = s.max(axis=1, keepdims=True) - lo
+        # Degenerate rows normalize to the constant zero map, so no
+        # gradient flows through them.
+        live = span > 0.0
+        span = np.where(live, span, 1.0)
+        u = (s - lo) / span
+        base = np.where(live, 2.0 / (tau * tau * span), 0.0)
+        w = base * g
+        gsum = g.sum(axis=1, keepdims=True)
+        usum = (g * u).sum(axis=1, keepdims=True)
+        # min/max subgradients; ties take the first index
+        rows = np.arange(N)
+        w[rows, s.argmin(axis=1)] -= (base * (gsum - usum))[:, 0]
+        w[rows, s.argmax(axis=1)] -= (base * usum)[:, 0]
+    else:
+        w = g / tau
 
-        if normalization == "min_max":
-            lo = s.min()
-            hi = s.max()
-            if hi == lo:
-                # Degenerate rows normalize to the constant zero map, so
-                # no gradient flows through them.
-                continue
-            u = (s - lo) / (hi - lo)
-            base = 2.0 / (tau * tau * (hi - lo))
-            w = base * g
-            gsum = g.sum()
-            usum = float(g @ u)
-            w[int(np.argmin(s))] -= base * (gsum - usum)
-            w[int(np.argmax(s))] -= base * usum
-        else:
-            w = g / tau
-
-        grad_a[i] += cand.T @ w
-        grad_p[i] += np.outer(w[:K], A[i])
-        grad_a[others] += np.outer(w[K : K + N - 1], A[i])
-        if H is not None:
-            grad_h[i] += w[-1] * A[i]
-
+    # ds_ij/dA_i is candidate j and ds_ij/dcandidate_j is A_i, so the
+    # in-batch block W reaches the anchors both as W @ A and W.T @ A
+    w_pos = w[:, :K]
+    W = np.zeros((N, N))
+    W[off_diag] = w[:, K : K + N - 1].reshape(-1)
+    grad_a = np.einsum("nk,nkd->nd", w_pos, P) + (W + W.T) @ A
+    grad_h = None
+    if H is not None:
+        grad_a += w[:, -1:] * H
+        grad_h = w[:, -1:] * A / N
     grad_a /= N
-    grad_p /= N
-    if grad_h is not None:
-        grad_h /= N
-    return LossOutput(total / N, grad_a, grad_p, grad_h, rows)
+    grad_p = w_pos[:, :, None] * A[:, None, :] / N
+    return LossOutput(value, grad_a, grad_p, grad_h)
 
 
 def single_positive_loss(anchors, positives, cfg: LossConfig) -> LossOutput:
@@ -228,7 +188,7 @@ def single_positive_loss(anchors, positives, cfg: LossConfig) -> LossOutput:
     if P.ndim != 2:
         raise ValueError(f"expected positives of shape (N,d), got {P.shape}")
     out = _loss_kernel(anchors, P[:, None, :], None, cfg.tau, "identity")
-    return LossOutput(out.value, out.grad_anchor, out.grad_positives[:, 0, :], None, out.rows)
+    return LossOutput(out.value, out.grad_anchor, out.grad_positives[:, 0, :], None)
 
 
 def multi_positive_loss(anchors, positives, hard_negatives=None, cfg: LossConfig | None = None) -> LossOutput:
@@ -243,62 +203,3 @@ def multi_positive_loss(anchors, positives, hard_negatives=None, cfg: LossConfig
     """
     cfg = cfg if cfg is not None else LossConfig()
     return _loss_kernel(anchors, positives, hard_negatives, cfg.tau, cfg.normalization)
-
-
-def similarity_rows(anchors, positives, hard_negatives=None) -> list[SimilarityRow]:
-    """Per-anchor candidate cosines in the documented layout, via loops."""
-    A = np.asarray(anchors, dtype=np.float64)
-    P = np.asarray(positives, dtype=np.float64)
-    N = A.shape[0]
-    K = P.shape[1]
-    rows = []
-    for i in range(N):
-        scores = [cosine_sim(A[i], P[i, k]) for k in range(K)]
-        scores += [cosine_sim(A[i], A[j]) for j in range(N) if j != i]
-        if hard_negatives is not None:
-            scores.append(cosine_sim(A[i], np.asarray(hard_negatives, dtype=np.float64)[i]))
-        rows.append(SimilarityRow(i, scores, K))
-    return rows
-
-
-def loss_oracle(anchors, positives, hard_negatives=None, cfg: LossConfig | None = None) -> float:
-    """Reference loss by naive per-candidate summation, for tests.
-
-    Dispatches on the positives rank: (N,d) means the single-positive
-    objective, (N,K,d) the multi-positive one. No vectorized shortcuts
-    and no max subtraction; fine for small instances only.
-    """
-    cfg = cfg if cfg is not None else LossConfig()
-    P = np.asarray(positives, dtype=np.float64)
-    if P.ndim == 2:
-        if hard_negatives is not None:
-            raise ValueError("the single-positive objective takes no hard negatives")
-        P = P[:, None, :]
-        multi = False
-    elif P.ndim == 3:
-        multi = True
-    else:
-        raise ValueError(f"positives must be rank 2 or 3, got shape {P.shape}")
-
-    total = 0.0
-    rows = similarity_rows(anchors, P, hard_negatives)
-    for row in rows:
-        scores = row.candidate_scores
-        if multi and cfg.normalization == "min_max":
-            lo = min(scores)
-            hi = max(scores)
-            if hi == lo:
-                scaled = [0.0 for _ in scores]
-            else:
-                scaled = [((x - lo) / (hi - lo) * 2.0 - 1.0) / cfg.tau for x in scores]
-        else:
-            scaled = scores
-        num = 0.0
-        den = 0.0
-        for c, x in enumerate(scaled):
-            term = math.exp(x / cfg.tau)
-            den += term
-            if c < row.positive_count:
-                num += term
-        total += math.log(den) - math.log(num)
-    return total / len(rows)

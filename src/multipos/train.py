@@ -27,7 +27,7 @@ from .encoder import (
     encode_backward,
     save_checkpoint,
 )
-from .losses import LossConfig, multi_positive_loss, single_positive_loss
+from .losses import NORMALIZATIONS, LossConfig, multi_positive_loss, single_positive_loss
 
 OBJECTIVES = ("single", "multi")
 
@@ -72,7 +72,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.normalization not in ("min_max", "identity"):
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0.0:
             raise ValueError(f"max_grad_norm must be positive when set, got {self.max_grad_norm}")
@@ -192,9 +192,7 @@ def train(
             f"config ({cfg.hash_bits} bits, dim {cfg.dim})"
         )
     opt = OptimizerState.fresh(params)
-    loss_cfg = LossConfig(
-        tau=cfg.tau, normalization=cfg.normalization, use_hard_negatives=cfg.use_hard_negatives
-    )
+    loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
     records: list[TrainLogRecord] = []
     paths: list[str] = []
     dropped_tail = 0

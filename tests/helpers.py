@@ -1,8 +1,9 @@
 """Shared oracles and generators for the test suite.
 
-The oracles are deliberately naive (double loops, direct formulas,
-exhaustive enumeration, dense full-table updates) so they cannot share
-bugs with the vectorized and sparse implementations they check.
+The oracles are deliberately naive (double loops, per-anchor loops,
+direct formulas, exhaustive enumeration, dense full-table updates) so
+they cannot share bugs with the vectorized and sparse implementations
+they check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from multipos.encoder import EncodeCache, ModelParams, OptimizerState, ParamGrads
+from multipos.losses import LossConfig
 
 
 def rel_err(a, b, floor: float = 1e-12) -> float:
@@ -39,6 +41,119 @@ def candidate_score_rows(A, P, H=None) -> list[np.ndarray]:
             s.append(float(A[i] @ H[i]))
         rows.append(np.asarray(s))
     return rows
+
+
+def loss_oracle(anchors, positives, hard_negatives=None, cfg: LossConfig | None = None) -> float:
+    """Reference loss by naive per-candidate summation.
+
+    Dispatches on the positives rank: (N,d) means the single-positive
+    objective, (N,K,d) the multi-positive one. No vectorized shortcuts
+    and no max subtraction; fine for small instances only.
+    """
+    cfg = cfg if cfg is not None else LossConfig()
+    A = np.asarray(anchors, dtype=np.float64)
+    P = np.asarray(positives, dtype=np.float64)
+    if P.ndim == 2:
+        if hard_negatives is not None:
+            raise ValueError("the single-positive objective takes no hard negatives")
+        P = P[:, None, :]
+        multi = False
+    elif P.ndim == 3:
+        multi = True
+    else:
+        raise ValueError(f"positives must be rank 2 or 3, got shape {P.shape}")
+    H = None if hard_negatives is None else np.asarray(hard_negatives, dtype=np.float64)
+
+    k = P.shape[1]
+    total = 0.0
+    rows = candidate_score_rows(A, P, H)
+    for row in rows:
+        scores = [float(x) for x in row]
+        if multi and cfg.normalization == "min_max":
+            lo = min(scores)
+            hi = max(scores)
+            if hi == lo:
+                scaled = [0.0 for _ in scores]
+            else:
+                scaled = [((x - lo) / (hi - lo) * 2.0 - 1.0) / cfg.tau for x in scores]
+        else:
+            scaled = scores
+        num = 0.0
+        den = 0.0
+        for c, x in enumerate(scaled):
+            term = math.exp(x / cfg.tau)
+            den += term
+            if c < k:
+                num += term
+        total += math.log(den) - math.log(num)
+    return total / len(rows)
+
+
+def loop_loss(A, P, H, tau: float, normalization: str):
+    """Reference value and gradients, one anchor at a time.
+
+    The per-anchor loop the vectorized kernel replaced: gather anchor
+    i's candidates, score them with one matrix-vector product, and
+    scatter its gradient back row by row. Returns (value, grad_anchor,
+    grad_positives, grad_hard_negatives or None).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    H = None if H is None else np.asarray(H, dtype=np.float64)
+    N = A.shape[0]
+    K = P.shape[1]
+    grad_a = np.zeros_like(A)
+    grad_p = np.zeros_like(P)
+    grad_h = np.zeros_like(H) if H is not None else None
+    total = 0.0
+    for i in range(N):
+        others = np.concatenate([np.arange(i), np.arange(i + 1, N)])
+        cand = np.concatenate([P[i], A[others]], axis=0)
+        if H is not None:
+            cand = np.concatenate([cand, H[i : i + 1]], axis=0)
+        s = cand @ A[i]
+        lo = s.min()
+        hi = s.max()
+        if normalization == "min_max":
+            z = np.zeros_like(s) if hi == lo else ((s - lo) / (hi - lo) * 2.0 - 1.0) / tau / tau
+        else:
+            z = s / tau
+
+        zmax = z.max()
+        zpmax = z[:K].max()
+        e = np.exp(z - zmax)
+        ep = np.exp(z[:K] - zpmax)
+        den = e.sum()
+        num = ep.sum()
+        li = (zmax + math.log(den)) - (zpmax + math.log(num))
+        total += li if li > 0.0 else 0.0
+
+        g = e / den
+        g[:K] -= ep / num
+        if normalization == "min_max":
+            if hi == lo:
+                continue
+            u = (s - lo) / (hi - lo)
+            base = 2.0 / (tau * tau * (hi - lo))
+            w = base * g
+            gsum = g.sum()
+            usum = float(g @ u)
+            w[int(np.argmin(s))] -= base * (gsum - usum)
+            w[int(np.argmax(s))] -= base * usum
+        else:
+            w = g / tau
+
+        grad_a[i] += cand.T @ w
+        grad_p[i] += np.outer(w[:K], A[i])
+        grad_a[others] += np.outer(w[K : K + N - 1], A[i])
+        if H is not None:
+            grad_h[i] += w[-1] * A[i]
+
+    grad_a /= N
+    grad_p /= N
+    if grad_h is not None:
+        grad_h /= N
+    return total / N, grad_a, grad_p, grad_h
 
 
 def margined_instance(rng, n, k, d, *, with_hard=False, margin=0.005, tries=5000):

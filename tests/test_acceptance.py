@@ -17,13 +17,7 @@ import scipy.stats
 from multipos import cli
 from multipos.data import SentenceGroup, gen_cipher_corpus, groups_to_pairs, make_batches
 from multipos.encoder import ModelParams, encode, encode_backward, load_checkpoint, save_checkpoint
-from multipos.losses import (
-    LossConfig,
-    loss_oracle,
-    minmax_normalize,
-    multi_positive_loss,
-    single_positive_loss,
-)
+from multipos.losses import LossConfig, minmax_normalize, multi_positive_loss, single_positive_loss
 from multipos.evaluation import mine_pairs_f1, retrieval_accuracy, spearman
 from multipos.train import TrainConfig, train
 
@@ -32,6 +26,7 @@ from helpers import (
     central_diff,
     densify,
     grad_rel_err,
+    loss_oracle,
     margined_instance,
     mining_oracle,
     rel_err,
@@ -60,7 +55,7 @@ def _loss_fd_worst(n_instances: int) -> float:
         tau = (0.05, 0.2, 1.0)[trial % 3]
         with_hard = trial % 5 == 0
         A, P, H = margined_instance(rng, n, k, d, with_hard=with_hard)
-        cfg = LossConfig(tau=tau, normalization=norm, use_hard_negatives=with_hard)
+        cfg = LossConfig(tau=tau, normalization=norm)
         out = multi_positive_loss(A, P, H, cfg)
         arrays = [A, P] + ([H] if with_hard else [])
         fd = central_diff(lambda: multi_positive_loss(A, P, H, cfg).value, arrays)
@@ -171,7 +166,7 @@ def test_losses_match_naive_reference(capsys):
             want = loss_oracle(A, p, cfg=cfg)
         else:
             with_hard = trial % 4 == 0
-            cfg = LossConfig(tau=tau, normalization=norm, use_hard_negatives=with_hard)
+            cfg = LossConfig(tau=tau, normalization=norm)
             while True:
                 A = unit_rows(rng, n, d)
                 P = unit_rows(rng, n * k, d).reshape(n, k, d)

@@ -386,5 +386,20 @@ def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(str(bad))
 
+    bad.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointChecksumError):
+        load_checkpoint(str(bad))
+
+    flipped = bytearray(blob)
+    flipped[-2] ^= 0x01  # inside the stored CRC
+    bad.write_bytes(bytes(flipped))
+    with pytest.raises(CheckpointChecksumError):
+        load_checkpoint(str(bad))
+
+    # a 40-byte file declaring a 2^40-row table is refused before allocation
+    bad.write_bytes(blob[:4] + struct.pack("<IIII", 1, 40, 64, 0) + bytes(20))
+    with pytest.raises(CheckpointChecksumError):
+        load_checkpoint(str(bad))
+
     with pytest.raises(OSError):
         load_checkpoint(str(tmp_path / "does-not-exist.ckpt"))

@@ -105,6 +105,18 @@ def test_mining_matches_oracle():
         assert (res.f1, res.precision, res.recall) == (f1, p, r)
         assert res.threshold == pytest.approx(th, abs=1e-12)
 
+    # small-integer embeddings: many nominations share a score, and
+    # each shared score is one threshold
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n = int(rng.integers(3, 16))
+        m = int(rng.integers(2, 6))
+        src = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+        tgt = rng.integers(-1, 2, size=(m, 3)).astype(np.float64)
+        gold = {(int(i), int(rng.integers(m))) for i in range(n) if rng.random() < 0.6} or {(0, 0)}
+        res = mine_pairs_f1(src, tgt, gold)
+        assert (res.f1, res.precision, res.recall, res.threshold) == mining_oracle(src, tgt, gold)
+
 
 def test_mining_sweep_beats_fixed_thresholds():
     rng = np.random.default_rng(3)

@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipos.losses import (
-    DegenerateInputError,
     LossConfig,
-    SimilarityRow,
-    cosine_sim,
-    loss_oracle,
     minmax_normalize,
     multi_positive_loss,
-    similarity_rows,
     single_positive_loss,
 )
 
@@ -21,6 +16,8 @@ from helpers import (
     candidate_score_rows,
     central_diff,
     grad_rel_err,
+    loop_loss,
+    loss_oracle,
     margined_instance,
     rel_err,
     unit_rows,
@@ -40,30 +37,6 @@ def test_loss_config_validation():
     assert cfg.tau == 0.05 and cfg.normalization == "min_max"
 
 
-def test_similarity_row_validation():
-    SimilarityRow(0, [0.1, 0.2], 1)
-    with pytest.raises(ValueError):
-        SimilarityRow(-1, [0.1, 0.2], 1)
-    with pytest.raises(ValueError):
-        SimilarityRow(0, [0.1, 0.2], 0)
-    with pytest.raises(ValueError):
-        SimilarityRow(0, [0.1, 0.2], 2)  # no negative left
-    with pytest.raises(ValueError):
-        SimilarityRow(0, [0.1, float("nan")], 1)
-
-
-def test_cosine_sim():
-    assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert cosine_sim([2.0, 0.0], [3.0, 0.0]) == 1.0
-    assert cosine_sim([1.0, 0.0], [-5.0, 0.0]) == -1.0
-    with pytest.raises(DegenerateInputError):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        cosine_sim([1.0, float("nan")], [1.0, 0.0])
-
-
 def test_minmax_documented_values():
     out = minmax_normalize([0.2, 0.5, 0.8], tau=0.05)
     assert out[0] == -20.0 and out[2] == 20.0
@@ -73,8 +46,15 @@ def test_minmax_documented_values():
     x = np.array([-0.1, 0.9, 0.4, 0.15])
     expected = ((x - (-0.1)) / (0.9 - (-0.1)) * 2.0 - 1.0) / 1.0
     assert np.abs(minmax_normalize(x, tau=1.0) - expected).max() <= 1e-12
+    # 2-d input: each row on its own, a flat row still all zeros
+    rows = minmax_normalize([[0.2, 0.5, 0.8], [0.3, 0.3, 0.3], [-0.1, 0.9, 0.4]], tau=1.0)
+    assert np.array_equal(rows[0], minmax_normalize([0.2, 0.5, 0.8], tau=1.0))
+    assert np.array_equal(rows[1], [0.0, 0.0, 0.0])
+    assert np.array_equal(rows[2], minmax_normalize([-0.1, 0.9, 0.4], tau=1.0))
     with pytest.raises(ValueError):
         minmax_normalize([], tau=0.05)
+    with pytest.raises(ValueError):
+        minmax_normalize(0.5, tau=0.05)
     with pytest.raises(ValueError):
         minmax_normalize([0.1, 0.2], tau=0.0)
     with pytest.raises(ValueError):
@@ -331,19 +311,33 @@ def test_gradient_flows_to_some_positive(seed):
     assert np.abs(out.grad_positives).max() > 0.0
 
 
+def _assert_matches_loop(out, A, P, H, tau, normalization):
+    value, grad_a, grad_p, grad_h = loop_loss(A, P, H, tau, normalization)
+    assert rel_err(out.value, value) <= 1e-11
+    assert rel_err(out.grad_anchor, grad_a) <= 1e-11
+    assert rel_err(out.grad_positives.reshape(grad_p.shape), grad_p) <= 1e-11
+    if H is None:
+        assert out.grad_hard_negatives is None
+    else:
+        assert rel_err(out.grad_hard_negatives, grad_h) <= 1e-11
+
+
 def test_hard_negative_slot():
     rng = np.random.default_rng(16)
     A = unit_rows(rng, 3, 6)
     P = unit_rows(rng, 6, 6).reshape(3, 2, 6)
     H = unit_rows(rng, 3, 6)
-    out = multi_positive_loss(A, P, H, LossConfig(tau=0.2))
-    assert out.grad_hard_negatives is not None
+    cfg = LossConfig(tau=0.2)
+    assert [len(r) for r in candidate_score_rows(A, P, H)] == [2 + 2 + 1] * 3
+    out = multi_positive_loss(A, P, H, cfg)
+    assert rel_err(out.value, loss_oracle(A, P, H, cfg)) <= 1e-10
     assert out.grad_hard_negatives.shape == (3, 6)
-    assert all(len(r.candidate_scores) == 2 + 2 + 1 for r in out.rows)
-    # without hard negatives the slot stays empty
-    out2 = multi_positive_loss(A, P, cfg=LossConfig(tau=0.2))
+    _assert_matches_loop(out, A, P, H, cfg.tau, cfg.normalization)
+    # without hard negatives the slot stays empty and the column is gone
+    out2 = multi_positive_loss(A, P, cfg=cfg)
     assert out2.grad_hard_negatives is None
-    assert all(len(r.candidate_scores) == 4 for r in out2.rows)
+    assert rel_err(out2.value, loss_oracle(A, P, cfg=cfg)) <= 1e-10
+    assert abs(out2.value - out.value) > 1e-3
 
 
 def test_similarity_row_layout():
@@ -357,13 +351,67 @@ def test_similarity_row_layout():
     p11 = e[5]
     H = np.stack([-0.8 * e[0] + 0.6 * e[6], e[7]])
     P = np.stack([[p00, p01], [p10, p11]])
-    rows = similarity_rows(A, P, H)
-    assert [round(x, 12) for x in rows[0].candidate_scores] == [0.6, 0.0, 0.0, -0.8]
-    assert [round(x, 12) for x in rows[1].candidate_scores] == [0.5, 0.0, 0.0, 0.0]
-    assert rows[0].positive_count == 2 and rows[0].anchor_index == 0
-    out = multi_positive_loss(A, P, H, LossConfig(tau=1.0))
-    for got, want in zip(out.rows, rows):
-        assert np.abs(np.asarray(got.candidate_scores) - np.asarray(want.candidate_scores)).max() <= 1e-12
+    rows = candidate_score_rows(A, P, H)
+    assert [round(float(x), 12) for x in rows[0]] == [0.6, 0.0, 0.0, -0.8]
+    assert [round(float(x), 12) for x in rows[1]] == [0.5, 0.0, 0.0, 0.0]
+    # hand evaluation at tau = 1: row 0 min-max scales to [1, 1/7, 1/7, -1],
+    # row 1 to [1, -1, -1, -1]; the first two columns are the positives
+    t = 1.0 / 7.0
+    loss0 = math.log(math.e + 2 * math.exp(t) + 1 / math.e) - math.log(math.e + math.exp(t))
+    loss1 = math.log(math.e + 3 / math.e) - math.log(math.e + 1 / math.e)
+    cfg = LossConfig(tau=1.0)
+    out = multi_positive_loss(A, P, H, cfg)
+    assert abs(out.value - (loss0 + loss1) / 2.0) <= 1e-12
+    assert abs(loss_oracle(A, P, H, cfg) - (loss0 + loss1) / 2.0) <= 1e-12
+    _assert_matches_loop(out, A, P, H, cfg.tau, cfg.normalization)
+
+
+def test_kernel_matches_loop_oracle():
+    # the margined instances of the finite-difference acceptance sweep,
+    # with and without hard negatives, both normalizations; each also
+    # runs with its first positive alone (K = 1) and single-positive
+    for trial in range(40):
+        rng = np.random.default_rng([20260814, trial])
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, 6))
+        d = int(rng.integers(4, 17))
+        norm = "min_max" if trial % 2 == 0 else "identity"
+        tau = (0.05, 0.2, 1.0)[trial % 3]
+        A, P, H = margined_instance(rng, n, k, d, with_hard=trial % 5 == 0)
+        for hard in (H, None):
+            cfg = LossConfig(tau=tau, normalization=norm)
+            _assert_matches_loop(multi_positive_loss(A, P, hard, cfg), A, P, hard, tau, norm)
+            P1 = P[:, :1]
+            _assert_matches_loop(multi_positive_loss(A, P1, hard, cfg), A, P1, hard, tau, norm)
+        cfg = LossConfig(tau=tau)
+        _assert_matches_loop(single_positive_loss(A, P[:, 0], cfg), A, P[:, :1], None, tau, "identity")
+
+    # exactly degenerate rows: every candidate score is 0
+    e = np.eye(8)
+    A = e[:2]
+    P = np.stack([e[2:4], e[4:6]])
+    H = e[6:8]
+    for hard in (None, H):
+        out = multi_positive_loss(A, P, hard, LossConfig(tau=0.05))
+        _assert_matches_loop(out, A, P, hard, 0.05, "min_max")
+        grads = [out.grad_anchor, out.grad_positives] + ([] if hard is None else [out.grad_hard_negatives])
+        for g in grads:
+            assert np.array_equal(g, np.zeros_like(g))
+
+    # exact first-index ties next to a degenerate row: row 0 scores all 0;
+    # row 1 ties its max between its positive and anchor 2; row 2 ties
+    # its min between its positive and anchor 0
+    r = math.sqrt(0.5)
+    A = np.stack([e[0], e[1], r * (e[1] + e[2])])
+    P = np.stack([[e[3]], [r * (e[1] + e[4])], [e[5]]])
+    rows = candidate_score_rows(A, P)
+    assert rows[0].max() == rows[0].min()
+    assert rows[1][0] == rows[1][2] == rows[1].max()
+    assert rows[2][0] == rows[2][1] == rows[2].min()
+    for tau in (0.05, 1.0):
+        out = multi_positive_loss(A, P, cfg=LossConfig(tau=tau))
+        _assert_matches_loop(out, A, P, None, tau, "min_max")
+        assert np.array_equal(out.grad_positives[0], np.zeros((1, 8)))
 
 
 def test_input_validation():
