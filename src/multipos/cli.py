@@ -30,11 +30,10 @@ from .data import (
     pairs_to_groups,
     read_aligned_corpus,
     read_groups_jsonl,
-    read_pairs_tsv,
     write_groups_jsonl,
     write_pairs_tsv,
 )
-from .encoder import NonFiniteGradientError, load_checkpoint
+from .encoder import CheckpointError, NonFiniteGradientError, load_checkpoint
 from .evaluation import (
     EvalReport,
     ProbeConfig,
@@ -42,7 +41,6 @@ from .evaluation import (
     linear_probe,
     mine_pairs_f1,
     retrieval_accuracy,
-    spearman,
     sts_eval,
 )
 from .train import NonFiniteLossError, TrainConfig, load_config, train, write_log_jsonl
@@ -84,41 +82,22 @@ def _read_lines(path: str) -> list[str]:
     return lines
 
 
-def _read_gold_pairs(path: str) -> set[tuple[int, int]]:
-    gold = set()
+def _read_tsv(path: str, layout: str, parse=lambda *cols: cols) -> list:
+    """Rows of a tab-separated file laid out as `layout`, each through `parse`.
+
+    `parse` takes a row's columns and raises ValueError on a bad value.
+    """
+    width = layout.count("<TAB>") + 1
+    rows = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         cols = line.split("\t")
-        if len(cols) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 'i<TAB>j'")
+        if len(cols) != width:
+            raise DataFormatError(f"{path}:{lineno}: expected {layout}")
         try:
-            gold.add((int(cols[0]), int(cols[1])))
+            rows.append(parse(*cols))
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: non-integer index") from exc
-    return gold
-
-
-def _read_sts_tsv(path: str) -> list[tuple[str, str, float]]:
-    pairs = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise DataFormatError(f"{path}:{lineno}: expected text_a<TAB>text_b<TAB>gold")
-        try:
-            pairs.append((cols[0], cols[1], float(cols[2])))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric gold score") from exc
-    return pairs
-
-
-def _read_labeled_tsv(path: str) -> tuple[list[str], list[str]]:
-    labels, texts = [], []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected label<TAB>text")
-        labels.append(cols[0])
-        texts.append(cols[1])
-    return labels, texts
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return rows
 
 
 def _parse_lang_file(values: list[str]) -> dict[str, str]:
@@ -183,18 +162,25 @@ def _cmd_synth(args) -> CommandOutcome:
     return CommandOutcome(0, artifacts)
 
 
-def _cmd_train(args) -> CommandOutcome:
+def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
+    """The --config file (or `default`), then each of `flags` that was given."""
     try:
-        cfg = load_config(args.config) if args.config else TrainConfig()
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        cfg = load_config(args.config) if args.config else default
+        return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
-    groups = read_groups_jsonl(args.data)
+
+
+def _train(cfg: TrainConfig, groups, **kwargs):
     try:
-        result = train(cfg, groups, out_dir=args.out)
+        return train(cfg, groups, **kwargs)
     except ValueError as exc:
         raise UsageError(f"config does not fit the dataset: {exc}") from exc
+
+
+def _cmd_train(args) -> CommandOutcome:
+    cfg = _train_config(args, TrainConfig(), seed=args.seed)
+    result = _train(cfg, read_groups_jsonl(args.data), out_dir=args.out)
     log_path = os.path.join(args.out, "log.jsonl")
     write_log_jsonl(result.records, log_path)
     if result.dropped_tail_groups:
@@ -206,125 +192,123 @@ def _cmd_train(args) -> CommandOutcome:
     return CommandOutcome(0, result.checkpoint_paths + [log_path])
 
 
-def _load_eval_model(args):
-    if bool(args.checkpoint) == bool(args.checkpoint_dir):
-        raise UsageError("give exactly one of --checkpoint or --checkpoint-dir")
-    if args.checkpoint:
-        return load_checkpoint(args.checkpoint)[0], args.checkpoint, {}
-    cands = sorted(glob.glob(os.path.join(args.checkpoint_dir, "epoch_*.ckpt")))
-    if not cands:
-        raise DataFormatError(f"no epoch_*.ckpt files under {args.checkpoint_dir}")
-    dev_fn = _dev_metric_fn(args)
-    scores = {}
-    best_path, best_score = None, -np.inf
-    for path in cands:
-        params = load_checkpoint(path)[0]
-        score = dev_fn(params)
-        scores[os.path.basename(path)] = score
-        if score > best_score:
-            best_path, best_score = path, score
-    return load_checkpoint(best_path)[0], best_path, scores
+# Per eval task: the file flags its report reads, then the flags that stand
+# in for them when --checkpoint-dir scores each epoch on dev data.
+_EVAL_FLAGS = {
+    "retrieval": (("src", "tgt"), ("dev_src", "dev_tgt")),
+    "mine": (("src", "tgt", "gold"), ("dev_src", "dev_tgt", "dev_gold")),
+    "sts": (("pairs",), ("dev_pairs",)),
+    "classify": (("train_file", "test_file"), ("train_file", "dev_test")),
+}
 
 
-def _dev_metric_fn(args):
-    task = args.task
-    if task in ("retrieval", "mine"):
-        if not (args.dev_src and args.dev_tgt):
-            raise UsageError(f"--checkpoint-dir with task {task} needs --dev-src and --dev-tgt")
-        src = _read_lines(args.dev_src)
-        tgt = _read_lines(args.dev_tgt)
-        if len(src) != len(tgt) and task == "retrieval":
-            raise DataFormatError("dev files must align line by line")
-        if task == "retrieval":
-            return lambda p: retrieval_accuracy(
-                encode_texts(p, src, args.max_len), encode_texts(p, tgt, args.max_len)
-            )
-        gold = _read_gold_pairs(args.dev_gold) if args.dev_gold else None
-        if gold is None:
-            raise UsageError("--checkpoint-dir with task mine needs --dev-gold")
-        return lambda p: mine_pairs_f1(
-            encode_texts(p, src, args.max_len), encode_texts(p, tgt, args.max_len), gold
-        ).f1
-    if task == "sts":
-        if not args.dev_pairs:
-            raise UsageError("--checkpoint-dir with task sts needs --dev-pairs")
-        dev_pairs = _read_sts_tsv(args.dev_pairs)
-        return lambda p: sts_eval(p, dev_pairs, max_len=args.max_len).overall
-    if not args.dev_test:
-        raise UsageError("--checkpoint-dir with task classify needs --dev-test")
-    tr_labels, tr_texts = _read_labeled_tsv(args.train_file)
-    dv_labels, dv_texts = _read_labeled_tsv(args.dev_test)
-    probe_cfg = ProbeConfig(seed=args.probe_seed)
-    return lambda p: linear_probe(
-        encode_texts(p, tr_texts, args.max_len),
-        tr_labels,
-        encode_texts(p, dv_texts, args.max_len),
-        dv_labels,
-        probe_cfg,
+def _scorer(args, flags: tuple[str, ...], final: bool):
+    """Check `flags`, read their files, and return params -> EvalReport.
+
+    `final` scores the report: it applies --threshold and
+    --both-directions, which dev selection leaves out.
+    """
+    missing = ["--" + f.replace("_", "-") for f in flags if not getattr(args, f)]
+    if missing:
+        via = "" if final else " with --checkpoint-dir"
+        raise UsageError(f"task {args.task}{via} needs {', '.join(missing)}")
+    paths = [getattr(args, f) for f in flags]
+
+    def enc(params, texts):
+        return encode_texts(params, texts, args.max_len)
+
+    if args.task in ("retrieval", "mine"):
+        src, tgt = _read_lines(paths[0]), _read_lines(paths[1])
+
+    if args.task == "retrieval":
+        if len(src) != len(tgt):
+            raise DataFormatError(f"{paths[0]} and {paths[1]} must align line by line")
+        both = final and args.both_directions
+
+        def score(params):
+            acc = retrieval_accuracy(enc(params, src), enc(params, tgt))
+            meta = {"items": len(src)}
+            if both:
+                meta["backward"] = retrieval_accuracy(enc(params, tgt), enc(params, src))
+            return EvalReport("retrieval", acc, metadata=meta)
+
+        return score
+
+    if args.task == "mine":
+
+        def index_pair(i, j):
+            i, j = int(i), int(j)
+            if not (0 <= i < len(src) and 0 <= j < len(tgt)):
+                raise ValueError(f"pair ({i}, {j}) outside the {len(src)} x {len(tgt)} candidates")
+            return i, j
+
+        gold = _read_tsv(paths[2], "i<TAB>j", index_pair)
+        threshold = args.threshold if final else None
+
+        def score(params):
+            res = mine_pairs_f1(enc(params, src), enc(params, tgt), gold, threshold=threshold)
+            meta = {"precision": res.precision, "recall": res.recall, "threshold": res.threshold}
+            return EvalReport("mine", res.f1, metadata=meta)
+
+        return score
+
+    if args.task == "sts":
+        pairs = _read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", lambda a, b, gold: (a, b, float(gold)))
+        if len(pairs) < 2:
+            raise DataFormatError(f"{paths[0]}: need at least 2 scored pairs")
+        return lambda params: sts_eval(params, pairs, max_len=args.max_len)
+
+    (train_labels, train_texts), (test_labels, test_texts) = (
+        zip(*_read_tsv(p, "label<TAB>text")) for p in paths
     )
+    if len(set(train_labels)) < 2:
+        raise DataFormatError(f"{paths[0]}: need at least 2 labels, got {sorted(set(train_labels))}")
+    unseen = sorted(set(test_labels) - set(train_labels))
+    if unseen:
+        raise DataFormatError(f"{paths[1]}: labels missing from {paths[0]}: {unseen[:3]}")
+    probe_cfg = ProbeConfig(seed=args.probe_seed)
+
+    def score(params):
+        acc = linear_probe(
+            enc(params, train_texts), train_labels, enc(params, test_texts), test_labels, probe_cfg
+        )
+        return EvalReport("classify", acc, metadata={"test_items": len(test_labels)})
+
+    return score
+
+
+def _select(directory: str, score):
+    """The first epoch checkpoint with the best dev score, its params, and every score."""
+    paths = sorted(glob.glob(os.path.join(directory, "epoch_*.ckpt")))
+    if not paths:
+        raise DataFormatError(f"no epoch_*.ckpt files under {directory}")
+    scores = {}
+    best_path, best_params, best_score = None, None, -np.inf
+    for path in paths:
+        params = load_checkpoint(path)[0]
+        scores[os.path.basename(path)] = s = score(params).overall
+        if s > best_score:
+            best_path, best_params, best_score = path, params, s
+        del params  # hold at most the best table while the next one loads
+    return best_path, best_params, scores
 
 
 def _cmd_eval(args) -> CommandOutcome:
-    params, chosen, dev_scores = _load_eval_model(args)
-    meta = {"checkpoint": chosen}
-    if dev_scores:
-        meta["dev_scores"] = dev_scores
-    if args.task == "retrieval":
-        if not (args.src and args.tgt):
-            raise UsageError("task retrieval needs --src and --tgt")
-        src = _read_lines(args.src)
-        tgt = _read_lines(args.tgt)
-        if len(src) != len(tgt):
-            raise DataFormatError("retrieval files must align line by line")
-        acc = retrieval_accuracy(
-            encode_texts(params, src, args.max_len), encode_texts(params, tgt, args.max_len)
-        )
-        if args.both_directions:
-            back = retrieval_accuracy(
-                encode_texts(params, tgt, args.max_len), encode_texts(params, src, args.max_len)
-            )
-            meta["backward"] = back
-        report = EvalReport("retrieval", acc, metadata={**meta, "items": len(src)})
-    elif args.task == "mine":
-        if not (args.src and args.tgt and args.gold):
-            raise UsageError("task mine needs --src, --tgt and --gold")
-        src = _read_lines(args.src)
-        tgt = _read_lines(args.tgt)
-        gold = _read_gold_pairs(args.gold)
-        res = mine_pairs_f1(
-            encode_texts(params, src, args.max_len),
-            encode_texts(params, tgt, args.max_len),
-            gold,
-            threshold=args.threshold,
-        )
-        report = EvalReport(
-            "mine",
-            res.f1,
-            metadata={
-                **meta,
-                "precision": res.precision,
-                "recall": res.recall,
-                "threshold": res.threshold,
-            },
-        )
-    elif args.task == "sts":
-        if not args.pairs:
-            raise UsageError("task sts needs --pairs")
-        report = sts_eval(params, _read_sts_tsv(args.pairs), max_len=args.max_len)
-        report.metadata.update(meta)
+    if bool(args.checkpoint) == bool(args.checkpoint_dir):
+        raise UsageError("give exactly one of --checkpoint or --checkpoint-dir")
+    if args.max_len < 1:
+        raise UsageError(f"--max-len must be at least 1, got {args.max_len}")
+    report_flags, dev_flags = _EVAL_FLAGS[args.task]
+    score = _scorer(args, report_flags, final=True)
+    meta = {}
+    if args.checkpoint:
+        chosen, params = args.checkpoint, load_checkpoint(args.checkpoint)[0]
     else:
-        if not (args.train_file and args.test_file):
-            raise UsageError("task classify needs --train-file and --test-file")
-        tr_labels, tr_texts = _read_labeled_tsv(args.train_file)
-        te_labels, te_texts = _read_labeled_tsv(args.test_file)
-        acc = linear_probe(
-            encode_texts(params, tr_texts, args.max_len),
-            tr_labels,
-            encode_texts(params, te_texts, args.max_len),
-            te_labels,
-            ProbeConfig(seed=args.probe_seed),
+        chosen, params, meta["dev_scores"] = _select(
+            args.checkpoint_dir, _scorer(args, dev_flags, final=False)
         )
-        report = EvalReport("classify", acc, metadata={**meta, "test_items": len(te_labels)})
+    report = score(params)
+    report.metadata.update(meta, checkpoint=chosen)
     return CommandOutcome(0, _write_report(asdict(report), args.out))
 
 
@@ -350,29 +334,12 @@ def _cmd_compare(args) -> CommandOutcome:
     # Desk-scale recipe: tau=1.0 keeps both objectives in their informative
     # regime (min-max output and raw cosine then share the range [-1, 1]),
     # so the arms differ only in grouping and normalization, not temperature.
-    try:
-        base = load_config(args.config) if args.config else TrainConfig(
-            batch_size=32,
-            epochs=30,
-            k_positives=5,
-            tau=1.0,
-            lr_main=6e-3,
-            warmup_enabled=False,
-            hash_bits=15,
-        )
-        overrides = {}
-        if args.epochs is not None:
-            overrides["epochs"] = args.epochs
-        if args.batch_size is not None:
-            overrides["batch_size"] = args.batch_size
-        if args.k is not None:
-            overrides["k_positives"] = args.k
-        if args.lr is not None:
-            overrides["lr_main"] = args.lr
-        if overrides:
-            base = replace(base, **overrides)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad config: {exc}") from exc
+    default = TrainConfig(
+        batch_size=32, epochs=30, k_positives=5, tau=1.0, lr_main=6e-3, warmup_enabled=False, hash_bits=15
+    )
+    base = _train_config(
+        args, default, epochs=args.epochs, batch_size=args.batch_size, k_positives=args.k, lr_main=args.lr
+    )
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
 
@@ -417,7 +384,7 @@ def _cmd_compare(args) -> CommandOutcome:
     for seed in seeds:
         t0 = time.perf_counter()
         cfg_m = replace(base, seed=seed, objective="multi")
-        result_m = train(cfg_m, groups)
+        result_m = _train(cfg_m, groups)
         wall["multiple"] += time.perf_counter() - t0
         arms["multiple"]["runs"].append({"seed": seed, **evaluate(result_m.params)})
 
@@ -425,13 +392,13 @@ def _cmd_compare(args) -> CommandOutcome:
         cfg_s = replace(base, seed=seed, objective="single", k_positives=1)
         if args.fixed_pairs:
             pair_groups = pairs_to_groups(groups_to_pairs(groups, [seed, 3, 0]).pairs)
-            result_s = train(cfg_s, pair_groups)
+            result_s = _train(cfg_s, pair_groups)
         else:
             # fresh random matching per epoch; each sentence still appears once
             def pair_epoch(epoch: int, _seed=seed):
                 return pairs_to_groups(groups_to_pairs(groups, [_seed, 3, epoch]).pairs)
 
-            result_s = train(cfg_s, groups, dataset_fn=pair_epoch)
+            result_s = _train(cfg_s, groups, dataset_fn=pair_epoch)
         wall["single"] += time.perf_counter() - t0
         arms["single"]["runs"].append({"seed": seed, **evaluate(result_s.params)})
 
@@ -547,7 +514,7 @@ def run(argv: list[str]) -> CommandOutcome:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return CommandOutcome(1)
-    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
+    except (DataFormatError, CheckpointError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return CommandOutcome(2)
     except (

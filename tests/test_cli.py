@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +7,19 @@ from multipos import cli
 from multipos.data import (
     DataFormatError,
     SentenceGroup,
+    gen_cipher_corpus,
     read_groups_jsonl,
     read_pairs_tsv,
     write_groups_jsonl,
+)
+from multipos.encoder import load_checkpoint
+from multipos.evaluation import (
+    ProbeConfig,
+    encode_texts,
+    linear_probe,
+    mine_pairs_f1,
+    retrieval_accuracy,
+    sts_eval,
 )
 
 
@@ -184,25 +195,6 @@ def test_eval_retrieval_report(trained):
                     "--checkpoint-dir", str(run_dir), "--src", src, "--tgt", tgt]).exit_code == 1
 
 
-def test_eval_checkpoint_dir_selects_best(trained, capsys):
-    tmp_path, run_dir, src, tgt = trained
-    report_path = tmp_path / "sel.json"
-    out = cli.run(["eval", "--task", "retrieval", "--checkpoint-dir", str(run_dir),
-                   "--dev-src", src, "--dev-tgt", tgt,
-                   "--src", src, "--tgt", tgt, "--out", str(report_path)])
-    assert out.exit_code == 0
-    report = json.loads(report_path.read_text())
-    scores = report["metadata"]["dev_scores"]
-    assert sorted(scores) == ["epoch_0001.ckpt", "epoch_0002.ckpt"]
-    chosen = report["metadata"]["checkpoint"]
-    best = max(sorted(scores), key=lambda k: scores[k])
-    assert chosen.endswith(best)
-
-    # missing dev flags is a usage error
-    assert cli.run(["eval", "--task", "retrieval", "--checkpoint-dir", str(run_dir),
-                    "--src", src, "--tgt", tgt]).exit_code == 1
-
-
 def test_eval_mine_and_classify_and_sts(trained):
     tmp_path, run_dir, src, tgt = trained
     ckpt = str(run_dir / "final.ckpt")
@@ -240,6 +232,199 @@ def test_eval_mine_and_classify_and_sts(trained):
                    "--train-file", train_file, "--test-file", test_file, "--out", str(out_path)])
     assert out.exit_code == 0
     assert 0.0 <= json.loads(out_path.read_text())["overall"] <= 1.0
+
+
+# Per eval task: the file flags its report needs, then the dev flags that
+# --checkpoint-dir needs on top of them.
+_TASK_FLAGS = {
+    "retrieval": (["src", "tgt"], ["dev_src", "dev_tgt"]),
+    "mine": (["src", "tgt", "gold"], ["dev_src", "dev_tgt", "dev_gold"]),
+    "sts": (["pairs"], ["dev_pairs"]),
+    "classify": (["train_file", "test_file"], ["train_file", "dev_test"]),
+}
+
+
+def _flag_args(files, flags):
+    return [arg for f in dict.fromkeys(flags) for arg in ("--" + f.replace("_", "-"), files[f])]
+
+
+def _lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+@pytest.fixture(scope="module")
+def epochs_run(tmp_path_factory):
+    """Epoch checkpoints of a small model, and a valid file for every eval file flag."""
+    d = tmp_path_factory.mktemp("epochs")
+    groups, heldout = gen_cipher_corpus(40, 5, 4, 1, 200, 2)
+    write_groups_jsonl(groups, str(d / "groups.jsonl"))
+    cfg = _tiny_train_config(d, epochs=3, batch_size=8, k_positives=3, hash_bits=10, dim=16)
+    assert cli.run(["train", "--config", cfg, "--data", str(d / "groups.jsonl"),
+                    "--out", str(d / "run")]).exit_code == 0
+    # a copy of the last epoch ties it on every score, so selection must keep the first maximum
+    (d / "run" / "epoch_0004.ckpt").write_bytes((d / "run" / "epoch_0003.ckpt").read_bytes())
+    text = {lang: [g.texts[lang] for g in heldout] for lang in ("h0", "l0", "l1", "l2")}
+
+    def write(name, rows):
+        return _write(d / name, "\n".join(rows) + "\n")
+
+    def sts_rows(concepts):
+        # gold is the share of the second sentence's words taken from the first's concept
+        rows = []
+        for c in concepts:
+            m = c % 6
+            mixed = text["l0"][c].split()[:m] + text["l0"][(c + 7) % 40].split()[m:]
+            rows.append(f"{text['h0'][c]}\t{' '.join(mixed)}\t{m / 5!r}")
+        return rows
+
+    files = {
+        "src": write("src.txt", text["h0"][20:]),
+        "tgt": write("tgt.txt", text["l0"][20:]),
+        "dev_src": write("dev_src.txt", text["h0"][:20]),
+        "dev_tgt": write("dev_tgt.txt", text["l0"][:20]),
+        "gold": write("gold.tsv", [f"{i}\t{i}" for i in range(0, 20, 2)]),
+        "dev_gold": write("dev_gold.tsv", [f"{i}\t{i}" for i in range(0, 20, 3)]),
+        "pairs": write("sts.tsv", sts_rows(range(20, 40))),
+        "dev_pairs": write("dev_sts.tsv", sts_rows(range(20))),
+        "train_file": write("cls_train.tsv",
+                            [f"c{c}\t{text[lang][c]}" for c in range(6) for lang in ("l1", "l2")]),
+        "test_file": write("cls_test.tsv", [f"c{c}\t{text['h0'][c]}" for c in range(6)]),
+        "dev_test": write("cls_dev.tsv", [f"c{c}\t{text['l0'][c]}" for c in range(6)]),
+    }
+    return d / "run", files
+
+
+def _dev_score(task, params, files):
+    """What --checkpoint-dir should score one checkpoint, computed through the library."""
+    def enc(flag):
+        return encode_texts(params, _lines(files[flag]))
+
+    if task == "retrieval":
+        return retrieval_accuracy(enc("dev_src"), enc("dev_tgt"))
+    if task == "mine":
+        gold = [tuple(int(x) for x in line.split("\t")) for line in _lines(files["dev_gold"])]
+        return mine_pairs_f1(enc("dev_src"), enc("dev_tgt"), gold).f1
+    if task == "sts":
+        rows = [line.split("\t") for line in _lines(files["dev_pairs"])]
+        return sts_eval(params, [(a, b, float(s)) for a, b, s in rows]).overall
+    train = [line.split("\t") for line in _lines(files["train_file"])]
+    dev = [line.split("\t") for line in _lines(files["dev_test"])]
+    return linear_probe(
+        encode_texts(params, [t for _, t in train]), [l for l, _ in train],
+        encode_texts(params, [t for _, t in dev]), [l for l, _ in dev], ProbeConfig(),
+    )
+
+
+@pytest.fixture()
+def load_calls(monkeypatch):
+    """Paths passed to the CLI's load_checkpoint, in call order."""
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counted)
+    return calls
+
+
+@pytest.mark.parametrize("task", sorted(_TASK_FLAGS))
+def test_eval_checkpoint_dir_scores_each_epoch_once(epochs_run, load_calls, tmp_path, task):
+    run_dir, files = epochs_run
+    report_flags, dev_flags = _TASK_FLAGS[task]
+    # report-only options, which selection must not apply
+    extra = {"retrieval": ["--both-directions"], "mine": ["--threshold", "0.5"]}.get(task, [])
+    selected = tmp_path / "selected.json"
+    argv = ["eval", "--task", task, "--checkpoint-dir", str(run_dir), "--out", str(selected),
+            *extra, *_flag_args(files, report_flags + dev_flags)]
+    assert cli.run(argv).exit_code == 0
+    epochs = sorted(str(p) for p in run_dir.glob("epoch_*.ckpt"))
+    assert len(epochs) == 4
+    assert load_calls == epochs  # each candidate once; the winner is not read again
+
+    report = json.loads(selected.read_text())
+    scores = report["metadata"].pop("dev_scores")
+    assert scores == {Path(p).name: _dev_score(task, load_checkpoint(p)[0], files) for p in epochs}
+    first_best = max(sorted(scores), key=lambda name: scores[name])
+    assert report["metadata"]["checkpoint"] == str(run_dir / first_best)
+
+    direct = tmp_path / "direct.json"
+    argv = ["eval", "--task", task, "--checkpoint", report["metadata"]["checkpoint"],
+            "--out", str(direct), *extra, *_flag_args(files, report_flags)]
+    assert cli.run(argv).exit_code == 0
+    assert report == json.loads(direct.read_text())
+
+
+_MISSING_FLAG_CASES = [
+    (task, mode, flag)
+    for task, (report_flags, dev_flags) in sorted(_TASK_FLAGS.items())
+    for mode in ("--checkpoint", "--checkpoint-dir")
+    for flag in dict.fromkeys(report_flags + (dev_flags if mode == "--checkpoint-dir" else []))
+]
+
+
+@pytest.mark.parametrize("task,mode,flag", _MISSING_FLAG_CASES)
+def test_eval_missing_flag_reads_no_checkpoint(epochs_run, load_calls, capsys, task, mode, flag):
+    run_dir, files = epochs_run
+    report_flags, dev_flags = _TASK_FLAGS[task]
+    needed = report_flags + (dev_flags if mode == "--checkpoint-dir" else [])
+    target = str(run_dir / "final.ckpt") if mode == "--checkpoint" else str(run_dir)
+    argv = ["eval", "--task", task, mode, target, *_flag_args(files, [f for f in needed if f != flag])]
+    assert cli.run(argv).exit_code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--" + flag.replace("_", "-") in err
+    assert "Traceback" not in err
+    assert load_calls == []
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bad_magic", "flipped_crc"])
+@pytest.mark.parametrize("mode", ["--checkpoint", "--checkpoint-dir"])
+def test_eval_corrupt_checkpoint_is_data_error(epochs_run, tmp_path, capsys, mode, damage):
+    run_dir, files = epochs_run
+    data = bytearray((run_dir / "epoch_0002.ckpt").read_bytes())
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    elif damage == "bad_magic":
+        data[:4] = b"XXXX"
+    else:
+        data[-1] ^= 0x01  # the last byte belongs to the stored CRC32
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "epoch_0001.ckpt").write_bytes((run_dir / "epoch_0001.ckpt").read_bytes())
+    (ckpt_dir / "epoch_0002.ckpt").write_bytes(bytes(data))
+    if mode == "--checkpoint":
+        argv = ["--checkpoint", str(ckpt_dir / "epoch_0002.ckpt"), "--pairs", files["pairs"]]
+    else:
+        argv = ["--checkpoint-dir", str(ckpt_dir), "--pairs", files["pairs"],
+                "--dev-pairs", files["dev_pairs"]]
+    assert cli.run(["eval", "--task", "sts", *argv]).exit_code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "epoch_0002.ckpt" in err
+
+
+def test_eval_input_errors_exit_codes(epochs_run, tmp_path, capsys):
+    run_dir, files = epochs_run
+    ckpt = ["eval", "--checkpoint", str(run_dir / "final.ckpt")]
+    n_src = len(_lines(files["src"]))
+    mine = ["--task", "mine", "--src", files["src"], "--tgt", files["tgt"], "--gold"]
+    for gold in (f"{n_src}\t1\n", "0\t-1\n"):
+        path = _write(tmp_path / "gold.tsv", gold)
+        assert cli.run([*ckpt, *mine, path]).exit_code == 2
+        assert f"data error: {path}:1:" in capsys.readouterr().err
+
+    unseen = _write(tmp_path / "unseen.tsv", "c0\tx y\nnew\tz w\n")
+    one_label = _write(tmp_path / "one_label.tsv", "c0\tx y\nc0\tz w\n")
+    one_pair = _write(tmp_path / "one_pair.tsv", "a b\tc d\t1.0\n")
+    for argv in (
+        ["--task", "classify", "--train-file", files["train_file"], "--test-file", unseen],
+        ["--task", "classify", "--train-file", one_label, "--test-file", one_label],
+        ["--task", "sts", "--pairs", one_pair],
+    ):
+        assert cli.run([*ckpt, *argv]).exit_code == 2
+        assert "data error" in capsys.readouterr().err
+
+    assert cli.run([*ckpt, "--task", "sts", "--pairs", files["pairs"], "--max-len", "0"]).exit_code == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def _synth_corpus(tmp_path):
@@ -289,6 +474,10 @@ def test_compare_report_structure(tmp_path, capsys):
 
     assert cli.run(["compare", "--data", data, "--heldout", heldout,
                     "--seeds", "0"]).exit_code == 1
+    # k=9 needs 10 languages per group; the corpus has 4
+    assert cli.run(["compare", "--data", data, "--heldout", heldout, "--config", cfg,
+                    "--seeds", "1", "--k", "9"]).exit_code == 1
+    assert "config does not fit the dataset" in capsys.readouterr().err
 
 
 def test_compare_fixed_pairs_and_byte_identical_reports(tmp_path):
