@@ -43,7 +43,7 @@ from .evaluation import (
     retrieval_accuracy,
     sts_eval,
 )
-from .train import NonFiniteLossError, TrainConfig, load_config, train, write_log_jsonl
+from .train import DatasetMismatchError, NonFiniteLossError, TrainConfig, load_config, train, write_log_jsonl
 
 
 class UsageError(Exception):
@@ -174,7 +174,7 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
 def _train(cfg: TrainConfig, groups, **kwargs):
     try:
         return train(cfg, groups, **kwargs)
-    except ValueError as exc:
+    except DatasetMismatchError as exc:
         raise UsageError(f"config does not fit the dataset: {exc}") from exc
 
 
@@ -253,7 +253,14 @@ def _scorer(args, flags: tuple[str, ...], final: bool):
         return score
 
     if args.task == "sts":
-        pairs = _read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", lambda a, b, gold: (a, b, float(gold)))
+
+        def scored_pair(a, b, gold):
+            score = float(gold)
+            if not np.isfinite(score):
+                raise ValueError(f"gold score {gold!r} is not finite")
+            return a, b, score
+
+        pairs = _read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", scored_pair)
         if len(pairs) < 2:
             raise DataFormatError(f"{paths[0]}: need at least 2 scored pairs")
         return lambda params: sts_eval(params, pairs, max_len=args.max_len)
@@ -379,28 +386,29 @@ def _cmd_compare(args) -> CommandOutcome:
     conv = groups_to_pairs(groups, [args.seed, 3, 0])
     _check_pair_conservation(groups, pairs_to_groups(conv.pairs), conv.dropped_sentences)
 
+    def pairing(seed: int):
+        # a fresh random matching per epoch, or epoch 0's throughout under
+        # --fixed-pairs; each sentence still appears once
+        def pairs(epoch: int):
+            return pairs_to_groups(groups_to_pairs(groups, [seed, 3, epoch]).pairs)
+
+        if args.fixed_pairs:
+            fixed = pairs(0)
+            return lambda epoch: fixed
+        return pairs
+
     arms: dict[str, dict] = {"multiple": {"runs": []}, "single": {"runs": []}}
     wall = {"multiple": 0.0, "single": 0.0}
     for seed in seeds:
-        t0 = time.perf_counter()
-        cfg_m = replace(base, seed=seed, objective="multi")
-        result_m = _train(cfg_m, groups)
-        wall["multiple"] += time.perf_counter() - t0
-        arms["multiple"]["runs"].append({"seed": seed, **evaluate(result_m.params)})
-
-        t0 = time.perf_counter()
-        cfg_s = replace(base, seed=seed, objective="single", k_positives=1)
-        if args.fixed_pairs:
-            pair_groups = pairs_to_groups(groups_to_pairs(groups, [seed, 3, 0]).pairs)
-            result_s = _train(cfg_s, pair_groups)
-        else:
-            # fresh random matching per epoch; each sentence still appears once
-            def pair_epoch(epoch: int, _seed=seed):
-                return pairs_to_groups(groups_to_pairs(groups, [_seed, 3, epoch]).pairs)
-
-            result_s = _train(cfg_s, groups, dataset_fn=pair_epoch)
-        wall["single"] += time.perf_counter() - t0
-        arms["single"]["runs"].append({"seed": seed, **evaluate(result_s.params)})
+        for name, cfg, dataset_fn in (
+            ("multiple", replace(base, seed=seed, objective="multi"), None),
+            ("single", replace(base, seed=seed, objective="single", k_positives=1), pairing(seed)),
+        ):
+            t0 = time.perf_counter()
+            params = _train(cfg, groups, dataset_fn=dataset_fn).params
+            wall[name] += time.perf_counter() - t0
+            arms[name]["runs"].append({"seed": seed, **evaluate(params)})
+            del params  # the next arm trains with no other model alive
 
     for name, arm in arms.items():
         keys = sorted({k for run in arm["runs"] for k in run if k != "seed"})

@@ -21,8 +21,8 @@ Checkpoint layout (little-endian, version 1):
     | f32 m_table | f32 m_projection | f32 v_table | f32 v_projection
     | u32 crc32 of all preceding bytes
 
-beta1/beta2/eps are format constants (0.9, 0.999, 1e-8) and are not
-serialized.
+The Adam constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS (0.9, 0.999,
+1e-8) are part of the format and are not serialized.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 CHECKPOINT_MAGIC = b"MPCL"
 CHECKPOINT_VERSION = 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # Row-block size, in values, for gathered temporaries: small enough to
 # stay in cache and to keep peak memory flat as batches grow.
@@ -209,9 +213,6 @@ class OptimizerState:
     v_table: np.ndarray
     v_projection: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # Per table row: may the moments be nonzero? Not serialized; None
     # means "derive it from m and v".
     touched: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -279,7 +280,7 @@ def adam_step(
             )
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     step_size = lr / (1.0 - b1**t)
     c2 = 1.0 - b2**t
 

@@ -36,6 +36,10 @@ class NonFiniteLossError(FloatingPointError):
     """Training hit a NaN or infinite loss."""
 
 
+class DatasetMismatchError(ValueError):
+    """The dataset does not fit the config; raised before any step runs."""
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 128
@@ -155,20 +159,18 @@ class TrainResult:
 def train(
     cfg: TrainConfig,
     groups: Sequence[SentenceGroup],
-    params: ModelParams | None = None,
     out_dir: str | None = None,
-    log_sink: Callable[[TrainLogRecord], None] | None = None,
     dataset_fn: Callable[[int], Sequence[SentenceGroup]] | None = None,
 ) -> TrainResult:
-    """Run the full schedule over the dataset.
+    """Run the full schedule over the dataset from fresh parameters.
 
     Saves a checkpoint per epoch end plus a final one when out_dir is
     given. dataset_fn, when set, supplies the groups for each epoch
-    (used by the pair re-draw option); otherwise the static dataset is
+    (the single arm's pairings); otherwise the static dataset is
     reused every epoch.
     """
     if dataset_fn is None and len(groups) == 0:
-        raise ValueError("empty dataset")
+        raise DatasetMismatchError("empty dataset")
 
     def epoch_groups(epoch: int) -> Sequence[SentenceGroup]:
         return dataset_fn(epoch) if dataset_fn is not None else groups
@@ -177,20 +179,14 @@ def train(
     probe = epoch_groups(0)
     for g in probe:
         if len(g.texts) < cfg.k_positives + 1:
-            raise ValueError(
+            raise DatasetMismatchError(
                 f"group {g.id!r} has {len(g.texts)} languages, need {cfg.k_positives + 1} "
                 f"(k_positives={cfg.k_positives} plus the anchor)"
             )
         if cfg.use_hard_negatives and not g.hard_negatives:
-            raise ValueError(f"group {g.id!r} lacks hard negatives")
+            raise DatasetMismatchError(f"group {g.id!r} lacks hard negatives")
 
-    if params is None:
-        params = init_params(cfg, cfg.seed)
-    if params.dim != cfg.dim or params.hash_bits != cfg.hash_bits:
-        raise ValueError(
-            f"params ({params.hash_bits} bits, dim {params.dim}) do not match "
-            f"config ({cfg.hash_bits} bits, dim {cfg.dim})"
-        )
+    params = init_params(cfg, cfg.seed)
     opt = OptimizerState.fresh(params)
     loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
     records: list[TrainLogRecord] = []
@@ -258,8 +254,6 @@ def train(
             rec = TrainLogRecord(step, phase, objective, lr, float(out.value), (t1 - t0) * 1e3)
             t0 = t1
             records.append(rec)
-            if log_sink is not None:
-                log_sink(rec)
             seen += n
             step += 1
         dropped_tail += len(data) - seen

@@ -12,7 +12,15 @@ import math
 
 import numpy as np
 
-from multipos.encoder import EncodeCache, ModelParams, OptimizerState, ParamGrads
+from multipos.encoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EncodeCache,
+    ModelParams,
+    OptimizerState,
+    ParamGrads,
+)
 from multipos.losses import LossConfig
 
 
@@ -315,7 +323,7 @@ def dense_adam_step(params: ModelParams, state: OptimizerState, grads: ParamGrad
     """Reference Adam: every table row, touched or not, takes the float32 update."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     step_size = lr / (1.0 - b1**t)
     c2 = 1.0 - b2**t
     updates = (
@@ -331,7 +339,7 @@ def dense_adam_step(params: ModelParams, state: OptimizerState, grads: ParamGrad
         v *= b2
         v += (1.0 - b2) * g32
         denom = np.sqrt(v / c2)
-        denom += state.eps
+        denom += ADAM_EPS
         denom /= step_size
         p -= m / denom
     return params, state

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path / "unknown.json", '{"batch_sizes": 4}')
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "r")]).exit_code == 1
 
+    # the dataset-fit check runs before step 0: 3 languages cannot give an anchor and 3 positives
+    cfg = _tiny_train_config(tmp_path, k_positives=3)
+    assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "fit")]).exit_code == 1
+    assert "usage error: config does not fit the dataset" in capsys.readouterr().err
+
 
 def test_data_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.jsonl")
@@ -79,7 +86,19 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_errors_exit_3(tmp_path, capsys):
+    # a huge learning rate fits the dataset but blows the model up within the first steps
+    corpus = tmp_path / "corpus"
+    assert cli.run(["synth", "--concepts", "64", "--langs", "6", "--seed", "7",
+                    "--out", str(corpus)]).exit_code == 0
+    cfg = _tiny_train_config(tmp_path, batch_size=32, k_positives=5, lr_main=1e38, hash_bits=12, dim=16)
+    out = cli.run(["train", "--config", cfg, "--data", str(corpus / "groups.jsonl"),
+                   "--out", str(tmp_path / "diverged")])
+    assert out.exit_code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "usage error" not in err
+
     data, _ = _groups_file(tmp_path)
     cfg = _tiny_train_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -427,6 +446,15 @@ def test_eval_input_errors_exit_codes(epochs_run, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_eval_sts_non_finite_gold_is_data_error(epochs_run, tmp_path, capsys, bad):
+    run_dir, _ = epochs_run
+    pairs = _write(tmp_path / "sts.tsv", f"a b\tc d\t1.0\ne f\tg h\t{bad}\nx y\tz w\t0.5\n")
+    out = cli.run(["eval", "--task", "sts", "--checkpoint", str(run_dir / "final.ckpt"), "--pairs", pairs])
+    assert out.exit_code == 2
+    assert f"data error: {pairs}:2: gold score '{bad}' is not finite" in capsys.readouterr().err
+
+
 def _synth_corpus(tmp_path):
     out_dir = tmp_path / "corpus"
     assert cli.run(["synth", "--concepts", "30", "--langs", "4", "--sentence-len", "5",
@@ -490,6 +518,27 @@ def test_compare_fixed_pairs_and_byte_identical_reports(tmp_path):
         assert out.exit_code == 0
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["pairing"] == "fixed"
+
+
+def test_compare_keeps_one_arm_model_alive(tmp_path, monkeypatch):
+    data, heldout = _synth_corpus(tmp_path)
+    cfg = _compare_config(tmp_path)
+    real = cli.train
+    returned, alive_at_start = [], []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in returned))
+        result = real(*args, **kwargs)
+        returned.append(weakref.ref(result.params))
+        return result
+
+    monkeypatch.setattr(cli, "train", tracked)
+    out = cli.run(["compare", "--data", data, "--heldout", heldout, "--config", cfg,
+                   "--seeds", "2", "--out", str(tmp_path / "report.json")])
+    assert out.exit_code == 0
+    # two seeds, two arms each; no earlier arm's model outlives its evaluation
+    assert alive_at_start == [0, 0, 0, 0]
 
 
 def test_pair_conservation_guard():

@@ -6,6 +6,9 @@ import pytest
 
 from multipos import encoder as encoder_mod
 from multipos.encoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CheckpointChecksumError,
     CheckpointError,
     CheckpointMagicError,
@@ -345,7 +348,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(state2.v_table, state.v_table)
     assert np.array_equal(state2.v_projection, state.v_projection)
     assert state2.step == state.step == 3
-    assert (state2.beta1, state2.beta2, state2.eps) == (0.9, 0.999, 1e-8)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     # re-saving the loaded pair reproduces the file byte for byte
     path2 = str(tmp_path / "model2.ckpt")

@@ -193,12 +193,6 @@ def test_dataset_mismatch_fails_before_any_step(tmp_path):
         train(_small_cfg(use_hard_negatives=True), _groups(4))
 
 
-def test_params_config_mismatch():
-    params = init_params(_small_cfg(dim=16), 0)
-    with pytest.raises(ValueError, match="do not match"):
-        train(_small_cfg(dim=8), _groups(4), params=params)
-
-
 def test_non_finite_loss_raises(monkeypatch):
     import sys
 
