@@ -9,6 +9,16 @@ passes run in float64 so finite-difference checks hold; the Adam
 update itself runs vectorized in float32, which keeps checkpoint round
 trips bitwise exact.
 
+A batch is flattened once into flat token ids plus per-sequence
+lengths. Both float64 sums run as passes over the flat ids, in an
+order fixed so the bytes match the per-sequence loops: the pool adds
+the k-th token of every sequence that has one, from each sequence's
+first row up, as mean(axis=0) does; the table gradient adds the j-th
+occurrence of every row that has one, from +0.0 up, as np.add.at into
+zeros does, and finishes the few rows left with a running sum.
+np.add.reduceat is not used: on float64 it sums in another order and
+changes the last bits.
+
 A batch touches a small share of the table, so the table gradient is
 sparse: the sorted unique rows of the batch and one gradient row each.
 Adam updates only the rows that have ever had a gradient. Every other
@@ -20,6 +30,7 @@ Checkpoint layout (little-endian, version 1):
     | f32 embedding_table | f32 projection
     | f32 m_table | f32 m_projection | f32 v_table | f32 v_projection
     | u32 crc32 of all preceding bytes
+A checkpoint is written to path + ".tmp" and renamed into place.
 
 The Adam constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS (0.9, 0.999,
 1e-8) are part of the format and are not serialized.
@@ -121,9 +132,16 @@ class ModelParams:
 
 @dataclass
 class EncodeCache:
-    """Everything needed to replay the forward pass exactly."""
+    """Everything needed to replay the forward pass exactly.
+
+    token_ids is the caller's list, kept as given; the backward pass reads
+    the flat copy: flat_ids holds every sequence's ids end to end and
+    lengths the id count of each sequence.
+    """
 
     token_ids: list[list[int]]
+    flat_ids: np.ndarray
+    lengths: np.ndarray
     pooled: np.ndarray
     projected: np.ndarray
     raw_norms: np.ndarray
@@ -143,25 +161,58 @@ class ParamGrads:
     projection: np.ndarray
 
 
-def encode(params: ModelParams, token_id_lists: list[list[int]]) -> tuple[np.ndarray, EncodeCache]:
-    """Encode token-id lists to unit-norm rows, returning a replay cache."""
+def _flatten(token_id_lists: list[list[int]], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked flat ids and per-sequence lengths of a batch."""
     if len(token_id_lists) == 0:
         raise ValueError("cannot encode an empty batch")
-    d = params.dim
-    rows = params.embedding_table.shape[0]
-    pooled = np.empty((len(token_id_lists), d), dtype=np.float64)
-    for b, ids in enumerate(token_id_lists):
-        if len(ids) == 0:
-            raise ValueError(f"sequence {b} is empty; tokenize maps empty text to [0]")
-        idx = np.asarray(ids, dtype=np.intp)
-        if idx.min() < 0 or idx.max() >= rows:
-            raise ValueError(f"sequence {b} has token ids outside [0, {rows})")
-        pooled[b] = params.embedding_table[idx].mean(axis=0, dtype=np.float64)
+    lengths = np.fromiter(map(len, token_id_lists), dtype=np.intp, count=len(token_id_lists))
+    empty = np.flatnonzero(lengths == 0)
+    if len(empty):
+        raise ValueError(f"sequence {empty[0]} is empty; tokenize maps empty text to [0]")
+    flat = np.fromiter(
+        itertools.chain.from_iterable(token_id_lists), dtype=np.intp, count=int(lengths.sum())
+    )
+    bad = (flat < 0) | (flat >= rows)
+    if bad.any():
+        seq = np.searchsorted(np.cumsum(lengths), np.argmax(bad), side="right")
+        raise ValueError(f"sequence {seq} has token ids outside [0, {rows})")
+    return flat, lengths
+
+
+def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable longest-first order of counts, and live[k - 1] = #counts > k.
+
+    In that order the entries with a k-th item (0-based) are the first
+    live[k - 1], so pass k works on a prefix.
+    """
+    order = np.argsort(-counts, kind="stable")
+    ordered = counts[order]
+    live = np.searchsorted(-ordered, -np.arange(1, ordered[0]), side="left")
+    return order, live
+
+
+def encode(params: ModelParams, token_id_lists: list[list[int]]) -> tuple[np.ndarray, EncodeCache]:
+    """Encode token-id lists to unit-norm rows, returning a replay cache."""
+    table = params.embedding_table
+    flat, lengths = _flatten(token_id_lists, table.shape[0])
+    starts = np.cumsum(lengths) - lengths
+    pooled = np.empty((len(lengths), params.dim), dtype=np.float64)
+    # one pass per token position: each sum runs in token order from the
+    # first row, as mean(axis=0, dtype=float64) of the sequence's rows does
+    chunk = max(1, _CHUNK_VALUES // params.dim)
+    for lo in range(0, len(lengths), chunk):
+        order, live = _longest_first(lengths[lo : lo + chunk])
+        first = starts[lo + order]
+        acc = table[flat[first]].astype(np.float64)
+        for k, m in enumerate(live, start=1):
+            acc[:m] += table[flat[first[:m] + k]]
+        pooled[lo + order] = acc
+    pooled /= lengths[:, None]
     projected = pooled @ params.projection.astype(np.float64)
     raw = np.linalg.norm(projected, axis=1)
     smooth = raw + 1e-12
     out = projected / smooth[:, None]
-    cache = EncodeCache([list(ids) for ids in token_id_lists], pooled, projected, raw, smooth)
+    cache = EncodeCache(token_id_lists, flat, lengths, pooled, projected, raw, smooth)
     return out, cache
 
 
@@ -169,9 +220,9 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
     """Exact parameter gradients for a cached encode call.
 
     Backpropagates through the smoothed normalization (the same 1e-12
-    norm used forward), the projection, the mean pool, and finally
-    scatter-adds into the rows the batch touched so repeated tokens
-    accumulate. Each row sums its contributions in batch order.
+    norm used forward), the projection and the mean pool, then sums each
+    touched row's token contributions in batch order, starting from +0.0
+    (the sums np.add.at into zeros makes).
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.projected.shape:
@@ -189,20 +240,36 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
     proj64 = params.projection.astype(np.float64)
     grad_pooled = grad_v @ proj64.T
     grad_proj = cache.pooled.T @ grad_v
+    grad_pooled /= cache.lengths[:, None]  # each token's share of its sequence's gradient
 
-    lengths = np.array([len(ids) for ids in cache.token_ids], dtype=np.intp)
-    flat_ids = np.fromiter(
-        itertools.chain.from_iterable(cache.token_ids), dtype=np.intp, count=int(lengths.sum())
-    )
-    rows, slot = np.unique(flat_ids, return_inverse=True)
-    grad_rows = np.zeros((len(rows), params.dim), dtype=np.float64)
-    grad_pooled /= lengths[:, None]  # each token's share of its sequence's gradient
-    seq_of_token = np.repeat(np.arange(len(lengths)), lengths)
-    # token blocks bound the per-token temporary; in order, so each row
-    # still sums its contributions in batch order
+    # tokens grouped by row, in batch order within a row
+    by_row = np.argsort(cache.flat_ids, kind="stable")
+    ids = cache.flat_ids[by_row]
+    row_starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    rows = ids[row_starts]
+    counts = np.diff(row_starts, append=len(ids))
+    seq_by_row = np.repeat(np.arange(len(cache.lengths)), cache.lengths)[by_row]
+    grad_rows = np.empty((len(rows), params.dim), dtype=np.float64)
+    # one pass per occurrence: pass j adds the j-th token of every row
+    # that has one
     chunk = max(1, _CHUNK_VALUES // params.dim)
-    for lo in range(0, len(flat_ids), chunk):
-        np.add.at(grad_rows, slot[lo : lo + chunk], grad_pooled[seq_of_token[lo : lo + chunk]])
+    for lo in range(0, len(rows), chunk):
+        order, live = _longest_first(counts[lo : lo + chunk])
+        first = row_starts[lo + order]
+        ends = first + counts[lo + order]
+        acc = grad_pooled[seq_by_row[first]] + 0.0  # from zeros: 0.0 + -0.0 is +0.0
+        # a frequent row would take a pass per occurrence: stop the passes
+        # where passes run plus rows left is least, and finish each row left
+        # with a running sum, which adds in the same order
+        left = np.append(live, 0)
+        stop = int(np.argmin(np.arange(len(left)) + left))
+        for j, m in enumerate(live[:stop], start=1):
+            acc[:m] += grad_pooled[seq_by_row[first[:m] + j]]
+        for r in range(left[stop]):
+            tail = grad_pooled[seq_by_row[first[r] + stop + 1 : ends[r]]]
+            tail[0] += acc[r]
+            acc[r] = np.add.accumulate(tail, axis=0, out=tail)[-1]
+        grad_rows[lo + order] = acc
     return ParamGrads(rows, grad_rows, grad_proj)
 
 
@@ -292,17 +359,24 @@ def adam_step(
     tables = (params.embedding_table, state.m_table, state.v_table)
     # gathered blocks small enough to stay in cache between the ops
     chunk = max(1, _CHUNK_VALUES // params.dim)
-    for lo in range(0, len(rows), chunk):
-        block = rows[lo : lo + chunk]
-        p, m, v = (np.take(a, block, axis=0) for a in tables)
-        _adam_update(p, m, v, g[lo : lo + chunk], b1, b2, c2, step_size, eps)
-        for a, part in zip(tables, (p, m, v)):
-            a[block] = part
+    # a float32 overflow fails here, not a step later in the loss; decaying
+    # moments underflow in normal runs, so underflow stays quiet
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for lo in range(0, len(rows), chunk):
+                block = rows[lo : lo + chunk]
+                p, m, v = (np.take(a, block, axis=0) for a in tables)
+                _adam_update(p, m, v, g[lo : lo + chunk], b1, b2, c2, step_size, eps)
+                for a, part in zip(tables, (p, m, v)):
+                    a[block] = part
 
-    g = np.array(grads.projection, dtype=np.float32)
-    _adam_update(
-        params.projection, state.m_projection, state.v_projection, g, b1, b2, c2, step_size, eps
-    )
+            g = np.array(grads.projection, dtype=np.float32)
+            _adam_update(
+                params.projection, state.m_projection, state.v_projection,
+                g, b1, b2, c2, step_size, eps,
+            )
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"Adam step {t} with lr {lr:g} failed in float32: {exc}") from exc
     return params, state
 
 
@@ -315,21 +389,30 @@ def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> No
         state.step,
     )
     crc = zlib.crc32(header)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # stream each array; the CRC runs over the same bytes as they go out
-        for a in (
-            params.embedding_table,
-            params.projection,
-            state.m_table,
-            state.m_projection,
-            state.v_table,
-            state.v_projection,
-        ):
-            data = memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B")
-            crc = zlib.crc32(data, crc)
-            fh.write(data)
-        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+    # write beside the target, then rename: a failed write leaves any
+    # earlier file at path as it was
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            # stream each array; the CRC runs over the same bytes as they go out
+            for a in (
+                params.embedding_table,
+                params.projection,
+                state.m_table,
+                state.m_projection,
+                state.v_table,
+                state.v_projection,
+            ):
+                data = memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B")
+                crc = zlib.crc32(data, crc)
+                fh.write(data)
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:

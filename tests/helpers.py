@@ -299,6 +299,16 @@ def densify(grads: ParamGrads, rows_total: int) -> np.ndarray:
     return table
 
 
+def loop_encode(params: ModelParams, token_id_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference forward pass, one sequence at a time: (output, pooled, projected)."""
+    pooled = np.empty((len(token_id_lists), params.dim), dtype=np.float64)
+    for b, ids in enumerate(token_id_lists):
+        pooled[b] = params.embedding_table[np.asarray(ids, dtype=np.intp)].mean(axis=0, dtype=np.float64)
+    projected = pooled @ params.projection.astype(np.float64)
+    out = projected / (np.linalg.norm(projected, axis=1) + 1e-12)[:, None]
+    return out, pooled, projected
+
+
 def dense_encode_backward(params: ModelParams, cache: EncodeCache, grad_output) -> ParamGrads:
     """Reference backward pass: scatter into a dense table, one sequence at a time."""
     g = np.asarray(grad_output, dtype=np.float64)

@@ -86,7 +86,7 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_errors_exit_3(tmp_path, capsys):
     # a huge learning rate fits the dataset but blows the model up within the first steps
     corpus = tmp_path / "corpus"
@@ -98,6 +98,7 @@ def test_numeric_errors_exit_3(tmp_path, capsys):
     assert out.exit_code == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "usage error" not in err
+    assert "Adam step 1 with lr 1e+38" in err  # the optimizer, not the loss a step later
 
     data, _ = _groups_file(tmp_path)
     cfg = _tiny_train_config(tmp_path)

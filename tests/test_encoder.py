@@ -1,8 +1,11 @@
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multipos import encoder as encoder_mod
 from multipos.encoder import (
@@ -33,6 +36,7 @@ from helpers import (
     densify,
     full_grads,
     grad_rel_err,
+    loop_encode,
 )
 
 
@@ -117,14 +121,40 @@ def test_encode_single_token_identity_projection():
 def test_encode_errors():
     rng = np.random.default_rng(4)
     params = _params(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty batch"):
         encode(params, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sequence 1 is empty"):
         encode(params, [[1], []])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sequence 2 is empty"):
+        encode(params, [[1], [2, 3], [], []])
+    with pytest.raises(ValueError, match=r"sequence 0 has token ids outside \[0, 16\)"):
         encode(params, [[16]])  # out of range for hash_bits=4
-    with pytest.raises(ValueError):
-        encode(params, [[-1]])
+    with pytest.raises(ValueError, match="sequence 2 has token ids outside"):
+        encode(params, [[1, 2], [3], [4, -1, 5], [99]])
+
+
+@given(
+    dim=st.integers(1, 65),
+    lengths=st.lists(st.integers(1, 70), min_size=1, max_size=40),
+    chunk_values=st.integers(1, 200),
+    seed=st.integers(0, 2**16),
+)
+def test_encode_matches_loop_oracle_bitwise(dim, lengths, chunk_values, seed):
+    # 16 ids repeat within and across sequences and include the empty-text
+    # id 0; rows of very different scales make every summation order show;
+    # small chunk values split the sequence blocks mid-batch
+    rng = np.random.default_rng(seed)
+    seqs = [[int(i) for i in rng.integers(0, 16, size=n)] for n in lengths]
+    table = rng.normal(size=(16, dim)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))
+    proj = rng.normal(0.0, 0.4, size=(dim, dim))
+    params = ModelParams(table.astype(np.float32), proj.astype(np.float32), hash_bits=4, dim=dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
+        out, cache = encode(params, seqs)
+    ref_out, ref_pooled, ref_projected = loop_encode(params, seqs)
+    assert cache.pooled.tobytes() == ref_pooled.tobytes()
+    assert cache.projected.tobytes() == ref_projected.tobytes()
+    assert out.tobytes() == ref_out.tobytes()
 
 
 def test_cache_reproduces_forward():
@@ -132,7 +162,9 @@ def test_cache_reproduces_forward():
     params = _params(rng, hash_bits=5, dim=4)
     batch = [[1, 2], [3], [2, 2, 7]]
     embs, cache = encode(params, batch)
-    assert cache.token_ids == batch
+    assert cache.token_ids is batch
+    assert cache.flat_ids.tolist() == [1, 2, 3, 2, 2, 7]
+    assert cache.lengths.tolist() == [2, 1, 3]
     proj64 = params.projection.astype(np.float64)
     assert np.array_equal(cache.projected, cache.pooled @ proj64)
     assert np.array_equal(cache.raw_norms, np.linalg.norm(cache.projected, axis=1))
@@ -168,23 +200,33 @@ def test_backward_shared_token_additivity():
     )
 
 
-@pytest.mark.parametrize("chunk_values", [None, 7])
+@pytest.mark.parametrize("chunk_values", [None, 7, 64])
 def test_sparse_backward_matches_dense_oracle(monkeypatch, chunk_values):
-    if chunk_values is not None:  # many token blocks, each smaller than a sequence
+    if chunk_values is not None:  # row blocks of 1 and of 12 rows
         monkeypatch.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
     rng = np.random.default_rng(13)
     params = _params(rng, hash_bits=6, dim=5)
     # the empty-text id 0, tokens repeated within and across sequences
     batch = [[0], [3, 3, 7], [7, 0, 63, 3]] + [
-        [int(x) for x in rng.integers(0, 64, size=int(rng.integers(1, 12)))] for _ in range(60)
+        [int(x) for x in rng.integers(0, 60, size=int(rng.integers(1, 12)))] for _ in range(60)
     ]
+    # id 1 occurs 1,000 times, ids 2 and 4 hundreds of times
+    batch += [[1] * 40 + [2] * 8 + [4] * 2 for _ in range(25)]
+    # ids 60-62 occur only in 66-token sequences with an upstream gradient
+    # of a few denormal units: divided by 66, every contribution is a
+    # signed zero, and a row whose contributions are all -0.0 must still
+    # sum to +0.0, as np.add.at into zeros gives
+    tiny = [[60, 61, 62] * 22] * 4
+    batch += tiny
     _, cache = encode(params, batch)
     g = rng.normal(size=(len(batch), 5))
+    g[-len(tiny) :] = [-5e-324, 5e-324, -1e-323, -5e-324, 1e-323]
     sparse = encode_backward(params, cache, g)
     dense = dense_encode_backward(params, cache, g)
     assert np.array_equal(sparse.rows, np.unique(np.concatenate(batch)))
     assert densify(sparse, 64).tobytes() == dense.embedding_table.tobytes()
     assert sparse.projection.tobytes() == dense.projection.tobytes()
+    assert (dense.embedding_table[60:63] == 0.0).all()
 
 
 def test_end_to_end_gradient_matches_finite_differences():
@@ -354,6 +396,32 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = str(tmp_path / "model2.ckpt")
     save_checkpoint(params2, state2, path2)
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "model2.ckpt").read_bytes()
+
+
+class _FailingArray:
+    """Stands in for an array whose conversion fails mid-save, like a full disk."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("No space left on device")
+
+
+def test_checkpoint_save_is_atomic(tmp_path):
+    params, state = _trained_pair()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, state, str(path))
+    arrays = (params.embedding_table, params.projection, state.m_table, state.m_projection,
+              state.v_table, state.v_projection)
+    body = b"MPCL" + struct.pack("<IIII", 1, 4, 6, 3) + b"".join(a.astype("<f4").tobytes() for a in arrays)
+    assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+    before = path.read_bytes()
+
+    # a later save that fails after the table is written leaves the old file whole
+    params2, state2 = _trained_pair(seed=13)
+    params2.projection = _FailingArray()
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(params2, state2, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_error_cases(tmp_path):
