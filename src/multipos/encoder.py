@@ -21,9 +21,12 @@ changes the last bits.
 
 A batch touches a small share of the table, so the table gradient is
 sparse: the sorted unique rows of the batch and one gradient row each.
-Adam updates only the rows that have ever had a gradient. Every other
-row has zero moments and a zero gradient, which leaves it bitwise
-unchanged under the full-table update, so skipping it changes no byte.
+Adam updates one prefix of table rows in place, up to the last row
+that has a gradient or a moment bit set. A row with zero moments and a
+zero gradient is left bitwise unchanged by the update, so the prefix
+gives the bytes of a full-table update in any row order; training
+stores rows in the order batches first touch them, which keeps the
+prefix as short as the rows ever touched.
 
 Checkpoint layout (little-endian, version 1):
     magic b"MPCL" | u32 version | u32 hash_bits | u32 dim | u32 adam_step
@@ -233,9 +236,11 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
 
     grad_v = g / n[:, None]
     nz = raw > 0.0
-    if nz.any():
-        coef = (v[nz] * g[nz]).sum(axis=1) / (n[nz] * n[nz] * raw[nz])
-        grad_v[nz] -= v[nz] * coef[:, None]
+    # a zero projection takes no normalisation term; when no norm is zero
+    # (every real batch) a slice selects the rows without copying them
+    nz = slice(None) if nz.all() else nz
+    coef = (v[nz] * g[nz]).sum(axis=1) / (n[nz] * n[nz] * raw[nz])
+    grad_v[nz] -= v[nz] * coef[:, None]
 
     proj64 = params.projection.astype(np.float64)
     grad_pooled = grad_v @ proj64.T
@@ -280,9 +285,9 @@ class OptimizerState:
     v_table: np.ndarray
     v_projection: np.ndarray
     step: int = 0
-    # Per table row: may the moments be nonzero? Not serialized; None
-    # means "derive it from m and v".
-    touched: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Table rows from live on have all-zero moment bits. Not serialized;
+    # None means "derive it from m and v" at the next step.
+    live: int | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "OptimizerState":
@@ -291,22 +296,8 @@ class OptimizerState:
             m_projection=np.zeros_like(params.projection),
             v_table=np.zeros_like(params.embedding_table),
             v_projection=np.zeros_like(params.projection),
-            touched=np.zeros(params.embedding_table.shape[0], dtype=bool),
+            live=0,
         )
-
-    def touched_rows(self) -> np.ndarray:
-        """The touched-row mask, rebuilt from the moments when unknown.
-
-        Any set bit marks a row, -0.0 included: a step with a zero
-        gradient turns a -0.0 moment into +0.0.
-        """
-        if self.touched is None:
-            self.touched = _any_bit_set(self.m_table) | _any_bit_set(self.v_table)
-        return self.touched
-
-
-def _any_bit_set(table: np.ndarray) -> np.ndarray:
-    return table.view(np.uint32).any(axis=1)
 
 
 def _adam_update(p, m, v, g, b1, b2, c2, step_size, eps) -> None:
@@ -332,10 +323,11 @@ def adam_step(
 ) -> tuple[ModelParams, OptimizerState]:
     """One in-place Adam update with bias correction.
 
-    Moments and parameters are float32. Only table rows that have ever
-    had a gradient are updated: a row with zero moments and a zero
-    gradient is left bitwise unchanged by the update, and every op is
-    elementwise, so the result equals a full-table update byte for byte.
+    Moments and parameters are float32. The table is updated in place
+    on rows [0, state.live), extended to the last row with a gradient.
+    Every row past it has zero moments and a zero gradient, which the
+    update leaves bitwise unchanged, and every op is elementwise, so the
+    result equals a full-table update byte for byte in any row order.
     """
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -351,24 +343,30 @@ def adam_step(
     step_size = lr / (1.0 - b1**t)
     c2 = 1.0 - b2**t
 
-    touched = state.touched_rows()
-    touched[grads.rows] = True
-    rows = np.flatnonzero(touched)
-    g = np.zeros((len(rows), params.dim), dtype=np.float32)
-    g[np.searchsorted(rows, grads.rows)] = grads.embedding_table
-    tables = (params.embedding_table, state.m_table, state.v_table)
-    # gathered blocks small enough to stay in cache between the ops
+    if state.live is None:
+        # any set bit counts, -0.0 included: a step turns a -0.0 moment into +0.0
+        set_rows = np.flatnonzero(
+            state.m_table.view(np.uint32).any(axis=1) | state.v_table.view(np.uint32).any(axis=1)
+        )
+        state.live = int(set_rows[-1]) + 1 if len(set_rows) else 0
+    if len(grads.rows):
+        state.live = max(state.live, int(grads.rows[-1]) + 1)
+    rows = grads.rows
+    # blocks small enough to stay in cache between the ops
     chunk = max(1, _CHUNK_VALUES // params.dim)
     # a float32 overflow fails here, not a step later in the loss; decaying
     # moments underflow in normal runs, so underflow stays quiet
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for lo in range(0, len(rows), chunk):
-                block = rows[lo : lo + chunk]
-                p, m, v = (np.take(a, block, axis=0) for a in tables)
-                _adam_update(p, m, v, g[lo : lo + chunk], b1, b2, c2, step_size, eps)
-                for a, part in zip(tables, (p, m, v)):
-                    a[block] = part
+            for lo in range(0, state.live, chunk):
+                hi = min(lo + chunk, state.live)
+                a, b = np.searchsorted(rows, (lo, hi))
+                g = np.zeros((hi - lo, params.dim), dtype=np.float32)
+                g[rows[a:b] - lo] = grads.embedding_table[a:b]
+                _adam_update(
+                    params.embedding_table[lo:hi], state.m_table[lo:hi], state.v_table[lo:hi],
+                    g, b1, b2, c2, step_size, eps,
+                )
 
             g = np.array(grads.projection, dtype=np.float32)
             _adam_update(

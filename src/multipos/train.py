@@ -8,6 +8,7 @@ and seed, two runs produce bit-identical checkpoints.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -106,10 +107,12 @@ def load_config(source) -> TrainConfig:
     return TrainConfig(**obj)
 
 
-def _clip_grads(grads: ParamGrads, max_norm: float) -> None:
-    # rows outside grads.rows have a zero gradient and add nothing to the norm
+def _clip_grads(grads: ParamGrads, max_norm: float, hashed_order=slice(None)) -> None:
+    # rows outside grads.rows have a zero gradient and add nothing to the
+    # norm; hashed_order puts the gradient rows in hashed-id order, so the
+    # norm sums in that order whatever order the table is stored in
     total = math.sqrt(
-        float((grads.embedding_table**2).sum()) + float((grads.projection**2).sum())
+        float((grads.embedding_table[hashed_order] ** 2).sum()) + float((grads.projection**2).sum())
     )
     if total > max_norm:
         scale = max_norm / total
@@ -135,6 +138,63 @@ def init_params(cfg: TrainConfig, seed) -> ModelParams:
     edge = np.nextafter(np.float32(0.05), np.float32(0.0))
     np.clip(table, -edge, edge, out=table)
     return ModelParams(table, np.eye(cfg.dim, dtype=np.float32), cfg.hash_bits, cfg.dim)
+
+
+class _FirstTouchOrder:
+    """The table and both moments stored in the order batches first touch rows.
+
+    Stored position p holds hashed row ids[p], and hashed row h sits at
+    pos[h]. Positions [0, admitted) hold every row a batch has touched,
+    so the moments are zero from there on and Adam's update runs on that
+    prefix. Before a batch is encoded, its unseen rows swap places with
+    the untouched rows just past the prefix: both sides have zero
+    moments, so only table rows move. Each batch's swaps are disjoint
+    and are kept, so undoing them in reverse restores hashed order in
+    place, with no full-size copy.
+    """
+
+    def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
+        self.arrays = (params.embedding_table, opt.m_table, opt.v_table)
+        self.pos = np.arange(len(params.embedding_table))
+        self.ids = np.arange(len(params.embedding_table))
+        self.admitted = 0
+        self.swaps: list[np.ndarray] = []  # per batch: a (2, n) array of positions
+
+    def relabel(self, seqs: list[list[int]]) -> list[list[int]]:
+        """Admit the batch's unseen rows; its id lists as stored positions."""
+        lengths = list(map(len, seqs))
+        hashed = np.fromiter(itertools.chain.from_iterable(seqs), np.intp, sum(lengths))
+        at = self.pos[hashed]
+        # sorted unique by hand: np.unique imports numpy.ma, 1.6 MB of RSS
+        new = np.sort(at[at >= self.admitted])
+        first = np.ones(len(new), dtype=bool)
+        first[1:] = new[1:] != new[:-1]
+        new = new[first]
+        end = self.admitted + len(new)
+        inside = new < end
+        free = np.ones(len(new), dtype=bool)
+        free[new[inside] - self.admitted] = False
+        pairs = np.stack((new[~inside], self.admitted + np.flatnonzero(free)))
+        if pairs.size:
+            for a in (self.arrays[0], self.ids):
+                a[pairs] = a[pairs[::-1]]
+            self.pos[self.ids[pairs]] = pairs
+            self.swaps.append(pairs)
+        self.admitted = end
+        flat = self.pos[hashed].tolist()
+        ends = itertools.accumulate(lengths)
+        return [flat[e - n : e] for e, n in zip(ends, lengths)]
+
+    def swap(self, undo: bool) -> None:
+        """Undo every batch's swaps in place, or redo them."""
+        for pairs in reversed(self.swaps) if undo else self.swaps:
+            for a in self.arrays:
+                a[pairs] = a[pairs[::-1]]
+
+    def restore(self) -> int:
+        """Put the rows back in hashed order; the optimizer's live row count there."""
+        self.swap(undo=True)
+        return int(self.ids[: self.admitted].max(initial=-1)) + 1
 
 
 @dataclass
@@ -168,6 +228,15 @@ def train(
     given. dataset_fn, when set, supplies the groups for each epoch
     (the single arm's pairings); otherwise the static dataset is
     reused every epoch.
+
+    While training, the table and both moments are stored in the order
+    batches first touch their rows (_FirstTouchOrder), so Adam runs on a
+    prefix as long as the rows touched so far. Once at most one row is
+    left past the prefix (id 0 only occurs for empty text), hashed order
+    is restored for good. Checkpoints and the result are in hashed row
+    order, and every op is unchanged by the order or made to run in
+    hashed order (the clip norm), so the bytes equal those of training
+    in hashed order.
     """
     if dataset_fn is None and len(groups) == 0:
         raise DatasetMismatchError("empty dataset")
@@ -188,6 +257,7 @@ def train(
 
     params = init_params(cfg, cfg.seed)
     opt = OptimizerState.fresh(params)
+    order: _FirstTouchOrder | None = _FirstTouchOrder(params, opt)
     loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
     records: list[TrainLogRecord] = []
     paths: list[str] = []
@@ -219,6 +289,12 @@ def train(
                 flat.extend(row)
             if batch.hard_negatives:
                 flat.extend(batch.hard_negatives)
+            if order is not None and order.admitted >= len(order.ids) - 1:
+                # at most one row left past the prefix: keep hashed order from here
+                opt.live = order.restore()
+                order = None
+            if order is not None:
+                flat = order.relabel(flat)
             embs, cache = encode(params, flat)
             anchors = embs[:n]
             positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
@@ -247,7 +323,8 @@ def train(
                 )
             grads = encode_backward(params, cache, grad_rows)
             if cfg.max_grad_norm is not None:
-                _clip_grads(grads, cfg.max_grad_norm)
+                hashed_order = slice(None) if order is None else np.argsort(order.ids[grads.rows])
+                _clip_grads(grads, cfg.max_grad_norm, hashed_order)
             adam_step(params, opt, grads, lr)
 
             t1 = time.perf_counter()
@@ -259,8 +336,14 @@ def train(
         dropped_tail += len(data) - seen
         if out_dir:
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
+            if order is not None:
+                order.swap(undo=True)  # files are in hashed order
             save_checkpoint(params, opt, path)
+            if order is not None:
+                order.swap(undo=False)
             paths.append(path)
+    if order is not None:
+        opt.live = order.restore()
     if out_dir:
         path = os.path.join(out_dir, "final.ckpt")
         save_checkpoint(params, opt, path)

@@ -8,10 +8,13 @@ they check.
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
 
 import numpy as np
 
+from multipos.data import make_batches
 from multipos.encoder import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -20,8 +23,16 @@ from multipos.encoder import (
     ModelParams,
     OptimizerState,
     ParamGrads,
+    adam_step,
+    encode,
+    encode_backward,
+    save_checkpoint,
 )
-from multipos.losses import LossConfig
+from multipos.losses import LossConfig, multi_positive_loss, single_positive_loss
+from multipos.train import TrainConfig, init_params, schedule
+
+# the module, not the train() function the package exports under that name
+train_module = importlib.import_module("multipos.train")
 
 
 def rel_err(a, b, floor: float = 1e-12) -> float:
@@ -353,3 +364,55 @@ def dense_adam_step(params: ModelParams, state: OptimizerState, grads: ParamGrad
         denom /= step_size
         p -= m / denom
     return params, state
+
+
+def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
+    """Reference training loop: the table and moments stay in hashed row order.
+
+    The loop train() ran before it stored rows in first-touch order:
+    hashed ids go straight to encode, and Adam, the clip norm and the
+    checkpoints all see hashed order; the clip is looked up in
+    multipos.train at each call. epoch_groups(epoch) gives each
+    epoch's groups. Saves epoch_NNNN.ckpt per epoch and final.ckpt
+    under out_dir; returns (params, optimizer state, losses).
+    """
+    params = init_params(cfg, cfg.seed)
+    opt = OptimizerState.fresh(params)
+    loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
+    losses = []
+    step = 0
+    for epoch in range(cfg.epochs):
+        for batch in make_batches(
+            epoch_groups(epoch), cfg.batch_size, cfg.k_positives, [cfg.seed, 1 + epoch],
+            max_len=cfg.max_len, hash_bits=cfg.hash_bits, use_hard_negatives=cfg.use_hard_negatives,
+        ):
+            _, objective, lr = schedule(step, cfg)
+            n = batch.size
+            k = len(batch.positives[0])
+            seqs = list(batch.anchors) + [ids for row in batch.positives for ids in row]
+            seqs += batch.hard_negatives or []
+            embs, cache = encode(params, seqs)
+            anchors = embs[:n]
+            positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
+            grad_rows = np.zeros_like(embs)
+            if objective == "single":
+                picked = np.random.default_rng([cfg.seed, 2, step]).integers(k, size=n)
+                out = single_positive_loss(anchors, positives[np.arange(n), picked], loss_cfg)
+                grad_rows[:n] = out.grad_anchor
+                grad_rows[n + np.arange(n) * k + picked] = out.grad_positives
+            else:
+                hard = embs[n + n * k :] if batch.hard_negatives else None
+                out = multi_positive_loss(anchors, positives, hard, loss_cfg)
+                grad_rows[:n] = out.grad_anchor
+                grad_rows[n : n + n * k] = out.grad_positives.reshape(n * k, cfg.dim)
+                if hard is not None:
+                    grad_rows[n + n * k :] = out.grad_hard_negatives
+            grads = encode_backward(params, cache, grad_rows)
+            if cfg.max_grad_norm is not None:
+                train_module._clip_grads(grads, cfg.max_grad_norm)
+            adam_step(params, opt, grads, lr)
+            losses.append(float(out.value))
+            step += 1
+        save_checkpoint(params, opt, os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt"))
+    save_checkpoint(params, opt, os.path.join(out_dir, "final.ckpt"))
+    return params, opt, losses

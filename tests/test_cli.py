@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -549,3 +552,18 @@ def test_pair_conservation_guard():
     broken = [SentenceGroup(id="p", texts={"a": "x", "b": "DIFFERENT"})]
     with pytest.raises(DataFormatError):
         cli._check_pair_conservation(groups, broken, 0)
+
+
+def test_train_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique and a non-unique np.setdiff1d import numpy.ma, 1.6 MB of
+    # RSS that a training run has no use for
+    data, _ = _groups_file(tmp_path)
+    cfg = _tiny_train_config(tmp_path, epochs=2)
+    argv = ["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "run")]
+    code = f"import sys\nfrom multipos import cli\ncli.run({argv!r})\nprint('numpy.ma' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "run" / "final.ckpt").exists()
+    assert res.stdout.strip() == "False"

@@ -218,15 +218,20 @@ def test_sparse_backward_matches_dense_oracle(monkeypatch, chunk_values):
     # sum to +0.0, as np.add.at into zeros gives
     tiny = [[60, 61, 62] * 22] * 4
     batch += tiny
-    _, cache = encode(params, batch)
-    g = rng.normal(size=(len(batch), 5))
-    g[-len(tiny) :] = [-5e-324, 5e-324, -1e-323, -5e-324, 1e-323]
-    sparse = encode_backward(params, cache, g)
-    dense = dense_encode_backward(params, cache, g)
-    assert np.array_equal(sparse.rows, np.unique(np.concatenate(batch)))
-    assert densify(sparse, 64).tobytes() == dense.embedding_table.tobytes()
-    assert sparse.projection.tobytes() == dense.projection.tobytes()
-    assert (dense.embedding_table[60:63] == 0.0).all()
+    g = rng.normal(size=(len(batch) + 1, 5))
+    g[len(batch) - len(tiny) : len(batch)] = [-5e-324, 5e-324, -1e-323, -5e-324, 1e-323]
+    # rows 5 and 6 cancel: the last sequence pools and projects to exactly
+    # zero, and its normalisation backward takes the masked path
+    params.embedding_table[6] = -params.embedding_table[5]
+    for seqs in (batch, batch + [[5, 6]]):
+        _, cache = encode(params, seqs)
+        sparse = encode_backward(params, cache, g[: len(seqs)])
+        dense = dense_encode_backward(params, cache, g[: len(seqs)])
+        assert np.array_equal(sparse.rows, np.unique(np.concatenate(seqs)))
+        assert densify(sparse, 64).tobytes() == dense.embedding_table.tobytes()
+        assert sparse.projection.tobytes() == dense.projection.tobytes()
+        assert (dense.embedding_table[60:63] == 0.0).all()
+    assert cache.raw_norms[-1] == 0.0 and (cache.raw_norms[:-1] > 0.0).all()
 
 
 def test_end_to_end_gradient_matches_finite_differences():
@@ -354,17 +359,27 @@ def test_adam_matches_dense_oracle_after_resume(tmp_path, monkeypatch, chunk_val
     state.v_table[10, 0] = -0.0
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(params, state, path)
+    assert state.live == 4  # rows 0-3: the last row with a gradient is 3
 
     resumed = load_checkpoint(path)
     oracle = load_checkpoint(path)
+    assert resumed[1].live is None  # derived from the moments at the next step
+    # a step without table gradient updates rows 0-10: the -0.0 in row 10 is a set bit
+    grads = ParamGrads(np.zeros(0, dtype=np.intp), np.zeros((0, 4)), rng.normal(size=(4, 4)))
+    adam_step(*resumed, grads, 1e-2)
+    dense_adam_step(*oracle, grads, 1e-2)
+    assert resumed[1].live == 11
+    assert not np.signbit(oracle[1].m_table[9, 2])  # the oracle did rewrite the -0.0
+    assert _state_bytes(*resumed) == _state_bytes(*oracle)
+    live = 11
     for _ in range(4):
         rows = np.unique(rng.integers(12, 32, size=5))
         grads = ParamGrads(rows, rng.normal(size=(len(rows), 4)), rng.normal(size=(4, 4)))
         adam_step(*resumed, grads, 1e-2)
         dense_adam_step(*oracle, grads, 1e-2)
         assert _state_bytes(*resumed) == _state_bytes(*oracle)
-    assert not np.signbit(oracle[1].m_table[9, 2])  # the oracle did rewrite the -0.0
-    assert resumed[1].touched[[1, 2, 3, 9, 10]].all() and not resumed[1].touched[[0, 4, 11]].any()
+        live = max(live, rows[-1] + 1)  # extended to the last row with a gradient
+        assert resumed[1].live == live
 
 
 def _trained_pair(seed=12):

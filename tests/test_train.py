@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -20,7 +21,7 @@ from multipos.train import (
     write_log_jsonl,
 )
 
-from helpers import dense_adam_step, dense_encode_backward, densify, full_grads
+from helpers import dense_adam_step, dense_encode_backward, densify, full_grads, hashed_train
 
 
 def _groups(n, langs=("a", "b", "c")):
@@ -248,6 +249,34 @@ def _oracle_groups(epoch):
     return groups
 
 
+def _spy_prefix(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Per Adam step in train(): the state's live rows, the distinct ids
+    encoded so far, and whether encode got other ids than the batch's."""
+    train_mod = sys.modules["multipos.train"]
+    make_batches, encode, adam_step = train_mod.make_batches, train_mod.encode, train_mod.adam_step
+    batch, seen, relabelled, trace = [], set(), [], []
+
+    def spy_make_batches(*args, **kwargs):
+        for b in make_batches(*args, **kwargs):
+            batch[:] = [b]
+            yield b
+
+    def spy_encode(params, seqs):
+        seen.update(i for ids in seqs for i in ids)
+        relabelled[:] = [seqs[: batch[0].size] != batch[0].anchors]
+        return encode(params, seqs)
+
+    def spy_adam_step(params, state, grads, lr):
+        out = adam_step(params, state, grads, lr)
+        trace.append((state.live, len(seen), relabelled[0]))
+        return out
+
+    monkeypatch.setattr(train_mod, "make_batches", spy_make_batches)
+    monkeypatch.setattr(train_mod, "encode", spy_encode)
+    monkeypatch.setattr(train_mod, "adam_step", spy_adam_step)
+    return trace
+
+
 @pytest.mark.parametrize("objective", ["multi", "single"])
 def test_training_matches_dense_oracle(monkeypatch, objective):
     # the first three steps run the single objective at the warm-up rate
@@ -255,8 +284,12 @@ def test_training_matches_dense_oracle(monkeypatch, objective):
         epochs=3, k_positives=2, use_hard_negatives=True, warmup_enabled=True, warmup_steps=3,
         objective=objective, hash_bits=10,
     )
+    trace = _spy_prefix(monkeypatch)
     sparse = train(cfg, [], dataset_fn=_oracle_groups)
-    assert not sparse.opt_state.touched.all()  # untouched rows were skipped
+    # every step relabelled, and Adam ran on exactly the rows touched so
+    # far, a prefix of the table
+    assert all(relabelled and live == seen for live, seen, relabelled in trace)
+    assert trace[-1][0] < 1 << cfg.hash_bits
 
     train_mod = sys.modules["multipos.train"]
     monkeypatch.setattr(train_mod, "encode_backward", dense_encode_backward)
@@ -269,6 +302,57 @@ def test_training_matches_dense_oracle(monkeypatch, objective):
         assert getattr(sparse.params, name).tobytes() == getattr(dense.params, name).tobytes()
     for name in ("m_table", "m_projection", "v_table", "v_projection"):
         assert getattr(sparse.opt_state, name).tobytes() == getattr(dense.opt_state, name).tobytes()
+
+
+@pytest.mark.parametrize("max_grad_norm", [None, 1e-3])
+@pytest.mark.parametrize("hash_bits", [4, 10])
+@pytest.mark.parametrize("objective", ["multi", "single"])
+def test_training_matches_hashed_order_oracle(tmp_path, monkeypatch, objective, hash_bits, max_grad_norm):
+    # warm-up crosses into the main phase; hard negatives and an empty text
+    cfg = _small_cfg(
+        epochs=3, k_positives=2, use_hard_negatives=True, warmup_enabled=True, warmup_steps=3,
+        objective=objective, hash_bits=hash_bits, max_grad_norm=max_grad_norm,
+    )
+    train_mod = sys.modules["multipos.train"]
+    clip = train_mod._clip_grads
+    norms, clipped = [], []
+
+    def spy_clip(grads, max_norm, *args):
+        norms.append(math.hypot(np.linalg.norm(grads.embedding_table), np.linalg.norm(grads.projection)))
+        clip(grads, max_norm, *args)
+        clipped.append(grads.projection.tobytes())  # scaled by max_norm / the norm summed
+
+    monkeypatch.setattr(train_mod, "_clip_grads", spy_clip)
+    trace = _spy_prefix(monkeypatch)
+    got = train(cfg, [], out_dir=str(tmp_path / "got"), dataset_fn=_oracle_groups)
+    (tmp_path / "want").mkdir()
+    params, opt, losses = hashed_train(cfg, _oracle_groups, str(tmp_path / "want"))
+
+    assert [r.loss for r in got.records] == losses
+    for name in ("embedding_table", "projection"):
+        assert getattr(got.params, name).tobytes() == getattr(params, name).tobytes()
+    for name in ("m_table", "m_projection", "v_table", "v_projection"):
+        assert getattr(got.opt_state, name).tobytes() == getattr(opt, name).tobytes()
+    names = [f"epoch_{e:04d}.ckpt" for e in (1, 2, 3)] + ["final.ckpt"]
+    assert [os.path.basename(p) for p in got.checkpoint_paths] == names
+    for name in names:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    if max_grad_norm is not None:
+        # the clip fired at every step of both runs, and the norms it summed
+        # were equal to the last bit
+        assert len(norms) == 12 and min(norms) > max_grad_norm
+        assert clipped[:6] == clipped[6:]
+
+    # first-touch order until at most one row is left past the prefix: a
+    # 16-row table gets there mid-run and keeps hashed order from then on
+    rows = 1 << hash_bits
+    relabelled = [r for *_, r in trace]
+    switch = relabelled.index(False) if False in relabelled else len(trace)
+    assert 0 < switch < len(trace) if hash_bits == 4 else switch == len(trace)
+    assert all(r and live == seen for live, seen, r in trace[:switch])
+    assert all(not r and live == rows for live, _, r in trace[switch:])
+    live = got.opt_state.live  # in hashed order again: every row from it on has all-zero moment bits
+    assert not opt.m_table[live:].view(np.uint32).any() and not opt.v_table[live:].view(np.uint32).any()
 
 
 def test_clip_grads():
