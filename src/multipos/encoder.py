@@ -328,6 +328,9 @@ def adam_step(
     Every row past it has zero moments and a zero gradient, which the
     update leaves bitwise unchanged, and every op is elementwise, so the
     result equals a full-table update byte for byte in any row order.
+    The cost grows with the highest such row, not with the rows touched,
+    so a caller that wants it small keeps touched rows first, as
+    train() does; a table kept in hashed order pays for most of it.
     """
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")

@@ -107,12 +107,10 @@ def load_config(source) -> TrainConfig:
     return TrainConfig(**obj)
 
 
-def _clip_grads(grads: ParamGrads, max_norm: float, hashed_order=slice(None)) -> None:
-    # rows outside grads.rows have a zero gradient and add nothing to the
-    # norm; hashed_order puts the gradient rows in hashed-id order, so the
-    # norm sums in that order whatever order the table is stored in
+def _clip_grads(grads: ParamGrads, max_norm: float) -> None:
+    # rows outside grads.rows have a zero gradient and add nothing to the norm
     total = math.sqrt(
-        float((grads.embedding_table[hashed_order] ** 2).sum()) + float((grads.projection**2).sum())
+        float((grads.embedding_table**2).sum()) + float((grads.projection**2).sum())
     )
     if total > max_norm:
         scale = max_norm / total
@@ -154,7 +152,7 @@ class _FirstTouchOrder:
     """
 
     def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
-        self.arrays = (params.embedding_table, opt.m_table, opt.v_table)
+        self.params, self.opt = params, opt
         self.pos = np.arange(len(params.embedding_table))
         self.ids = np.arange(len(params.embedding_table))
         self.admitted = 0
@@ -176,7 +174,7 @@ class _FirstTouchOrder:
         free[new[inside] - self.admitted] = False
         pairs = np.stack((new[~inside], self.admitted + np.flatnonzero(free)))
         if pairs.size:
-            for a in (self.arrays[0], self.ids):
+            for a in (self.params.embedding_table, self.ids):
                 a[pairs] = a[pairs[::-1]]
             self.pos[self.ids[pairs]] = pairs
             self.swaps.append(pairs)
@@ -185,16 +183,33 @@ class _FirstTouchOrder:
         ends = itertools.accumulate(lengths)
         return [flat[e - n : e] for e, n in zip(ends, lengths)]
 
-    def swap(self, undo: bool) -> None:
-        """Undo every batch's swaps in place, or redo them."""
+    def clip(self, grads: ParamGrads, max_norm: float) -> None:
+        """_clip_grads with the norm summed over the rows in hashed order."""
+        hashed = np.argsort(self.ids[grads.rows])
+        in_hashed = ParamGrads(
+            self.ids[grads.rows[hashed]], grads.embedding_table[hashed], grads.projection
+        )
+        _clip_grads(in_hashed, max_norm)
+        grads.embedding_table[hashed] = in_hashed.embedding_table  # scaled, back in stored order
+
+    def _swap(self, undo: bool) -> None:
+        arrays = (self.params.embedding_table, self.opt.m_table, self.opt.v_table)
         for pairs in reversed(self.swaps) if undo else self.swaps:
-            for a in self.arrays:
+            for a in arrays:
                 a[pairs] = a[pairs[::-1]]
 
-    def restore(self) -> int:
-        """Put the rows back in hashed order; the optimizer's live row count there."""
-        self.swap(undo=True)
-        return int(self.ids[: self.admitted].max(initial=-1)) + 1
+    def save(self, path: str) -> None:
+        """A checkpoint in hashed row order: the swaps undone for the save."""
+        self._swap(undo=True)
+        try:
+            save_checkpoint(self.params, self.opt, path)
+        finally:
+            self._swap(undo=False)
+
+    def restore(self) -> None:
+        """Put the rows back in hashed order, with the optimizer's live row count there."""
+        self._swap(undo=True)
+        self.opt.live = int(self.ids[: self.admitted].max(initial=-1)) + 1
 
 
 @dataclass
@@ -231,12 +246,10 @@ def train(
 
     While training, the table and both moments are stored in the order
     batches first touch their rows (_FirstTouchOrder), so Adam runs on a
-    prefix as long as the rows touched so far. Once at most one row is
-    left past the prefix (id 0 only occurs for empty text), hashed order
-    is restored for good. Checkpoints and the result are in hashed row
-    order, and every op is unchanged by the order or made to run in
-    hashed order (the clip norm), so the bytes equal those of training
-    in hashed order.
+    prefix as long as the rows touched so far. Checkpoints and the
+    result are in hashed row order, and every op is unchanged by the
+    order or made to run in hashed order (the clip norm), so the bytes
+    equal those of training in hashed order.
     """
     if dataset_fn is None and len(groups) == 0:
         raise DatasetMismatchError("empty dataset")
@@ -257,7 +270,7 @@ def train(
 
     params = init_params(cfg, cfg.seed)
     opt = OptimizerState.fresh(params)
-    order: _FirstTouchOrder | None = _FirstTouchOrder(params, opt)
+    order = _FirstTouchOrder(params, opt)
     loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
     records: list[TrainLogRecord] = []
     paths: list[str] = []
@@ -289,13 +302,7 @@ def train(
                 flat.extend(row)
             if batch.hard_negatives:
                 flat.extend(batch.hard_negatives)
-            if order is not None and order.admitted >= len(order.ids) - 1:
-                # at most one row left past the prefix: keep hashed order from here
-                opt.live = order.restore()
-                order = None
-            if order is not None:
-                flat = order.relabel(flat)
-            embs, cache = encode(params, flat)
+            embs, cache = encode(params, order.relabel(flat))
             anchors = embs[:n]
             positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
             hard = embs[n + n * k :] if batch.hard_negatives else None
@@ -323,8 +330,7 @@ def train(
                 )
             grads = encode_backward(params, cache, grad_rows)
             if cfg.max_grad_norm is not None:
-                hashed_order = slice(None) if order is None else np.argsort(order.ids[grads.rows])
-                _clip_grads(grads, cfg.max_grad_norm, hashed_order)
+                order.clip(grads, cfg.max_grad_norm)
             adam_step(params, opt, grads, lr)
 
             t1 = time.perf_counter()
@@ -336,14 +342,9 @@ def train(
         dropped_tail += len(data) - seen
         if out_dir:
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
-            if order is not None:
-                order.swap(undo=True)  # files are in hashed order
-            save_checkpoint(params, opt, path)
-            if order is not None:
-                order.swap(undo=False)
+            order.save(path)
             paths.append(path)
-    if order is not None:
-        opt.live = order.restore()
+    order.restore()
     if out_dir:
         path = os.path.join(out_dir, "final.ckpt")
         save_checkpoint(params, opt, path)
