@@ -36,7 +36,6 @@ from .data import (
 from .encoder import CheckpointError, NonFiniteGradientError, load_checkpoint
 from .evaluation import (
     EvalReport,
-    ProbeConfig,
     encode_texts,
     linear_probe,
     mine_pairs_f1,
@@ -273,11 +272,11 @@ def _scorer(args, flags: tuple[str, ...], final: bool):
     unseen = sorted(set(test_labels) - set(train_labels))
     if unseen:
         raise DataFormatError(f"{paths[1]}: labels missing from {paths[0]}: {unseen[:3]}")
-    probe_cfg = ProbeConfig(seed=args.probe_seed)
 
     def score(params):
         acc = linear_probe(
-            enc(params, train_texts), train_labels, enc(params, test_texts), test_labels, probe_cfg
+            enc(params, train_texts), train_labels, enc(params, test_texts), test_labels,
+            args.probe_seed,
         )
         return EvalReport("classify", acc, metadata={"test_items": len(test_labels)})
 

@@ -10,12 +10,13 @@ update itself runs vectorized in float32, which keeps checkpoint round
 trips bitwise exact.
 
 A batch is flattened once into flat token ids plus per-sequence
-lengths. Both float64 sums run as passes over the flat ids, in an
-order fixed so the bytes match the per-sequence loops: the pool adds
-the k-th token of every sequence that has one, from each sequence's
-first row up, as mean(axis=0) does; the table gradient adds the j-th
-occurrence of every row that has one, from +0.0 up, as np.add.at into
-zeros does, and finishes the few rows left with a running sum.
+lengths, and both float64 sums in the hot loop are one ordered
+segment sum, _segment_sums: the pool sums each sequence's table rows,
+and the table gradient sums each touched row's per-token gradients.
+Every segment starts at +0.0 and adds its terms in order, the bytes of
+a per-sequence mean(axis=0, dtype=float64) and of np.add.at into
+zeros. The sums run as passes that add the j-th term of every segment
+that has one, and a few long segments finish with a running sum.
 np.add.reduceat is not used: on float64 it sums in another order and
 changes the last bits.
 
@@ -137,18 +138,23 @@ class ModelParams:
 class EncodeCache:
     """Everything needed to replay the forward pass exactly.
 
-    token_ids is the caller's list, kept as given; the backward pass reads
-    the flat copy: flat_ids holds every sequence's ids end to end and
-    lengths the id count of each sequence.
+    flat_ids holds every sequence's ids end to end and lengths the id
+    count of each sequence.
     """
 
-    token_ids: list[list[int]]
     flat_ids: np.ndarray
     lengths: np.ndarray
     pooled: np.ndarray
     projected: np.ndarray
     raw_norms: np.ndarray
     smooth_norms: np.ndarray
+
+    @property
+    def token_ids(self) -> list[list[int]]:
+        """The batch's id lists, rebuilt from flat_ids and lengths."""
+        flat = self.flat_ids.tolist()
+        lengths = self.lengths.tolist()
+        return [flat[e - n : e] for e, n in zip(itertools.accumulate(lengths), lengths)]
 
 
 @dataclass
@@ -194,29 +200,45 @@ def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, live
 
 
+def _segment_sums(src: np.ndarray, idx: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row s: the float64 sum of src[idx[starts[s] + j]] for j < counts[s].
+
+    Each sum starts at +0.0 and adds its terms in j order. Pass j adds
+    the j-th term of every segment that has one; a segment with many
+    terms would take a pass per term, so the passes stop where passes
+    run plus segments left is least, and each segment left finishes
+    with a running sum, which adds in the same order.
+    """
+    out = np.empty((len(counts), src.shape[1]), dtype=np.float64)
+    chunk = max(1, _CHUNK_VALUES // src.shape[1])
+    for lo in range(0, len(counts), chunk):
+        order, live = _longest_first(counts[lo : lo + chunk])
+        first = starts[lo + order]
+        ends = first + counts[lo + order]
+        acc = np.zeros((len(order), src.shape[1]), dtype=np.float64)
+        acc += src[idx[first]]  # from +0.0: 0.0 + -0.0 is +0.0
+        left = np.append(live, 0)
+        stop = int(np.argmin(np.arange(len(left)) + left))
+        for j, m in enumerate(live[:stop], start=1):
+            acc[:m] += src[idx[first[:m] + j]]
+        for r in range(left[stop]):
+            tail = src[idx[first[r] + stop + 1 : ends[r]]].astype(np.float64, copy=False)
+            tail[0] += acc[r]
+            acc[r] = np.add.accumulate(tail, axis=0, out=tail)[-1]
+        out[lo + order] = acc
+    return out
+
+
 def encode(params: ModelParams, token_id_lists: list[list[int]]) -> tuple[np.ndarray, EncodeCache]:
     """Encode token-id lists to unit-norm rows, returning a replay cache."""
-    table = params.embedding_table
-    flat, lengths = _flatten(token_id_lists, table.shape[0])
-    starts = np.cumsum(lengths) - lengths
-    pooled = np.empty((len(lengths), params.dim), dtype=np.float64)
-    # one pass per token position: each sum runs in token order from the
-    # first row, as mean(axis=0, dtype=float64) of the sequence's rows does
-    chunk = max(1, _CHUNK_VALUES // params.dim)
-    for lo in range(0, len(lengths), chunk):
-        order, live = _longest_first(lengths[lo : lo + chunk])
-        first = starts[lo + order]
-        acc = table[flat[first]].astype(np.float64)
-        for k, m in enumerate(live, start=1):
-            acc[:m] += table[flat[first[:m] + k]]
-        pooled[lo + order] = acc
+    flat, lengths = _flatten(token_id_lists, params.embedding_table.shape[0])
+    pooled = _segment_sums(params.embedding_table, flat, np.cumsum(lengths) - lengths, lengths)
     pooled /= lengths[:, None]
     projected = pooled @ params.projection.astype(np.float64)
     raw = np.linalg.norm(projected, axis=1)
     smooth = raw + 1e-12
     out = projected / smooth[:, None]
-    cache = EncodeCache(token_id_lists, flat, lengths, pooled, projected, raw, smooth)
-    return out, cache
+    return out, EncodeCache(flat, lengths, pooled, projected, raw, smooth)
 
 
 def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.ndarray) -> ParamGrads:
@@ -251,31 +273,10 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
     by_row = np.argsort(cache.flat_ids, kind="stable")
     ids = cache.flat_ids[by_row]
     row_starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    rows = ids[row_starts]
     counts = np.diff(row_starts, append=len(ids))
     seq_by_row = np.repeat(np.arange(len(cache.lengths)), cache.lengths)[by_row]
-    grad_rows = np.empty((len(rows), params.dim), dtype=np.float64)
-    # one pass per occurrence: pass j adds the j-th token of every row
-    # that has one
-    chunk = max(1, _CHUNK_VALUES // params.dim)
-    for lo in range(0, len(rows), chunk):
-        order, live = _longest_first(counts[lo : lo + chunk])
-        first = row_starts[lo + order]
-        ends = first + counts[lo + order]
-        acc = grad_pooled[seq_by_row[first]] + 0.0  # from zeros: 0.0 + -0.0 is +0.0
-        # a frequent row would take a pass per occurrence: stop the passes
-        # where passes run plus rows left is least, and finish each row left
-        # with a running sum, which adds in the same order
-        left = np.append(live, 0)
-        stop = int(np.argmin(np.arange(len(left)) + left))
-        for j, m in enumerate(live[:stop], start=1):
-            acc[:m] += grad_pooled[seq_by_row[first[:m] + j]]
-        for r in range(left[stop]):
-            tail = grad_pooled[seq_by_row[first[r] + stop + 1 : ends[r]]]
-            tail[0] += acc[r]
-            acc[r] = np.add.accumulate(tail, axis=0, out=tail)[-1]
-        grad_rows[lo + order] = acc
-    return ParamGrads(rows, grad_rows, grad_proj)
+    grad_rows = _segment_sums(grad_pooled, seq_by_row, row_starts, counts)
+    return ParamGrads(ids[row_starts], grad_rows, grad_proj)
 
 
 @dataclass

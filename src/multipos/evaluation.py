@@ -14,6 +14,11 @@ import numpy as np
 
 from .encoder import ModelParams, encode, tokenize
 
+# linear_probe's full-batch gradient descent: step count, rate, weight decay
+PROBE_ITERATIONS = 500
+PROBE_LR = 0.1
+PROBE_L2 = 1e-4
+
 
 @dataclass
 class EvalReport:
@@ -29,18 +34,6 @@ class MiningResult:
     precision: float
     recall: float
     threshold: float
-
-
-@dataclass
-class ProbeConfig:
-    iterations: int = 500
-    lr: float = 0.1
-    l2: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1 or self.lr <= 0.0 or self.l2 < 0.0:
-            raise ValueError("probe needs iterations >= 1, lr > 0 and l2 >= 0")
 
 
 def encode_texts(params: ModelParams, texts: Sequence[str], max_len: int = 64) -> np.ndarray:
@@ -124,15 +117,13 @@ def _f1_scores(tp, predicted, n_gold: int):
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; a run of equal values at sorted positions i..j all rank (i + j) / 2 + 1."""
     order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    starts = np.append(0, ends[:-1] + 1)
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -175,14 +166,13 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def linear_probe(train_embs, train_labels, test_embs, test_labels, cfg: ProbeConfig | None = None) -> float:
+def linear_probe(train_embs, train_labels, test_embs, test_labels, seed: int = 0) -> float:
     """Accuracy of a multinomial logistic probe on frozen embeddings.
 
-    Full-batch gradient descent with fixed iteration count; L2 applies
-    to the weights, not the bias. Test labels must come from the
-    training label set.
+    Full-batch gradient descent for PROBE_ITERATIONS steps from weights
+    drawn with seed; L2 applies to the weights, not the bias. Test
+    labels must come from the training label set.
     """
-    cfg = cfg if cfg is not None else ProbeConfig()
     X = _check_rows("train_embs", train_embs)
     Xt = _check_rows("test_embs", test_embs)
     if X.shape[1] != Xt.shape[1]:
@@ -202,15 +192,15 @@ def linear_probe(train_embs, train_labels, test_embs, test_labels, cfg: ProbeCon
     onehot = np.zeros((X.shape[0], len(classes)))
     onehot[np.arange(X.shape[0]), y] = 1.0
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(X.shape[1], len(classes)))
     b = np.zeros(len(classes))
     n = X.shape[0]
-    for _ in range(cfg.iterations):
+    for _ in range(PROBE_ITERATIONS):
         probs = _softmax_rows(X @ W + b)
         diff = (probs - onehot) / n
-        W -= cfg.lr * (X.T @ diff + cfg.l2 * W)
-        b -= cfg.lr * diff.sum(axis=0)
+        W -= PROBE_LR * (X.T @ diff + PROBE_L2 * W)
+        b -= PROBE_LR * diff.sum(axis=0)
     pred = (Xt @ W + b).argmax(axis=1)
     truth = np.array([index[c] for c in labels_t])
     return float((pred == truth).mean())

@@ -243,6 +243,21 @@ def rank_oracle(x) -> np.ndarray:
     return out
 
 
+def loop_average_ranks(x) -> np.ndarray:
+    """Average ranks by walking each run of equal values in a stable sort."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def spearman_oracle(pred, gold) -> float:
     rp = rank_oracle(pred)
     rg = rank_oracle(gold)
@@ -320,8 +335,12 @@ def loop_encode(params: ModelParams, token_id_lists) -> tuple[np.ndarray, np.nda
     return out, pooled, projected
 
 
-def dense_encode_backward(params: ModelParams, cache: EncodeCache, grad_output) -> ParamGrads:
-    """Reference backward pass: scatter into a dense table, one sequence at a time."""
+def dense_encode_backward(params: ModelParams, token_id_lists, cache: EncodeCache, grad_output) -> ParamGrads:
+    """Reference backward pass: scatter into a dense table, one sequence at a time.
+
+    token_id_lists is the batch given to encode; the cache supplies the
+    forward values only, so the flat ids under test play no part.
+    """
     g = np.asarray(grad_output, dtype=np.float64)
     v = cache.projected
     n = cache.smooth_norms
@@ -335,7 +354,7 @@ def dense_encode_backward(params: ModelParams, cache: EncodeCache, grad_output) 
     grad_pooled = grad_v @ proj64.T
     grad_proj = cache.pooled.T @ grad_v
     grad_table = np.zeros(params.embedding_table.shape, dtype=np.float64)
-    for b, ids in enumerate(cache.token_ids):
+    for b, ids in enumerate(token_id_lists):
         np.add.at(grad_table, np.asarray(ids, dtype=np.intp), grad_pooled[b] / len(ids))
     return full_grads(grad_table, grad_proj)
 

@@ -19,7 +19,6 @@ from multipos.data import (
 )
 from multipos.encoder import load_checkpoint
 from multipos.evaluation import (
-    ProbeConfig,
     encode_texts,
     linear_probe,
     mine_pairs_f1,
@@ -334,7 +333,7 @@ def _dev_score(task, params, files):
     dev = [line.split("\t") for line in _lines(files["dev_test"])]
     return linear_probe(
         encode_texts(params, [t for _, t in train]), [l for l, _ in train],
-        encode_texts(params, [t for _, t in dev]), [l for l, _ in dev], ProbeConfig(),
+        encode_texts(params, [t for _, t in dev]), [l for l, _ in dev],
     )
 
 

@@ -133,6 +133,24 @@ def test_encode_errors():
         encode(params, [[1, 2], [3], [4, -1, 5], [99]])
 
 
+def _assert_encode_matches_loop(params, seqs, chunk_values=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_values is not None:
+            mp.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
+        out, cache = encode(params, seqs)
+    ref_out, ref_pooled, ref_projected = loop_encode(params, seqs)
+    assert cache.pooled.tobytes() == ref_pooled.tobytes()
+    assert cache.projected.tobytes() == ref_projected.tobytes()
+    assert out.tobytes() == ref_out.tobytes()
+
+
+def _scaled_params(rng, dim):
+    # rows of very different scales make every summation order show
+    table = rng.normal(size=(16, dim)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))
+    proj = rng.normal(0.0, 0.4, size=(dim, dim))
+    return ModelParams(table.astype(np.float32), proj.astype(np.float32), hash_bits=4, dim=dim)
+
+
 @given(
     dim=st.integers(1, 65),
     lengths=st.lists(st.integers(1, 70), min_size=1, max_size=40),
@@ -141,20 +159,27 @@ def test_encode_errors():
 )
 def test_encode_matches_loop_oracle_bitwise(dim, lengths, chunk_values, seed):
     # 16 ids repeat within and across sequences and include the empty-text
-    # id 0; rows of very different scales make every summation order show;
-    # small chunk values split the sequence blocks mid-batch
+    # id 0; small chunk values split the sequence blocks mid-batch
     rng = np.random.default_rng(seed)
     seqs = [[int(i) for i in rng.integers(0, 16, size=n)] for n in lengths]
-    table = rng.normal(size=(16, dim)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))
-    proj = rng.normal(0.0, 0.4, size=(dim, dim))
-    params = ModelParams(table.astype(np.float32), proj.astype(np.float32), hash_bits=4, dim=dim)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
-        out, cache = encode(params, seqs)
-    ref_out, ref_pooled, ref_projected = loop_encode(params, seqs)
-    assert cache.pooled.tobytes() == ref_pooled.tobytes()
-    assert cache.projected.tobytes() == ref_projected.tobytes()
-    assert out.tobytes() == ref_out.tobytes()
+    _assert_encode_matches_loop(_scaled_params(rng, dim), seqs, chunk_values)
+
+
+@pytest.mark.parametrize("case", ["negative_zero_row", "long_among_short"])
+def test_encode_matches_loop_oracle_on_edge_batches(case):
+    rng = np.random.default_rng(11)
+    params = _scaled_params(rng, 5)
+    if case == "negative_zero_row":
+        # a row of -0.0 alone and twice: every sum starts at +0.0, as the
+        # mean does, so the pooled rows are +0.0
+        params.embedding_table[9] = -0.0
+        seqs = [[9], [9, 9], [3, 9]]
+    else:
+        # one 64-token sequence among 30 one-token ones: the passes stop
+        # after the first term and the long one finishes with a running sum
+        seqs = [[int(i) for i in rng.integers(0, 16, size=64)]]
+        seqs += [[int(i)] for i in rng.integers(0, 16, size=30)]
+    _assert_encode_matches_loop(params, seqs)
 
 
 def test_cache_reproduces_forward():
@@ -162,7 +187,7 @@ def test_cache_reproduces_forward():
     params = _params(rng, hash_bits=5, dim=4)
     batch = [[1, 2], [3], [2, 2, 7]]
     embs, cache = encode(params, batch)
-    assert cache.token_ids is batch
+    assert cache.token_ids == batch
     assert cache.flat_ids.tolist() == [1, 2, 3, 2, 2, 7]
     assert cache.lengths.tolist() == [2, 1, 3]
     proj64 = params.projection.astype(np.float64)
@@ -226,7 +251,7 @@ def test_sparse_backward_matches_dense_oracle(monkeypatch, chunk_values):
     for seqs in (batch, batch + [[5, 6]]):
         _, cache = encode(params, seqs)
         sparse = encode_backward(params, cache, g[: len(seqs)])
-        dense = dense_encode_backward(params, cache, g[: len(seqs)])
+        dense = dense_encode_backward(params, seqs, cache, g[: len(seqs)])
         assert np.array_equal(sparse.rows, np.unique(np.concatenate(seqs)))
         assert densify(sparse, 64).tobytes() == dense.embedding_table.tobytes()
         assert sparse.projection.tobytes() == dense.projection.tobytes()

@@ -292,7 +292,16 @@ def test_training_matches_dense_oracle(monkeypatch, objective):
     assert trace[-1][0] < 1 << cfg.hash_bits
 
     train_mod = sys.modules["multipos.train"]
-    monkeypatch.setattr(train_mod, "encode_backward", dense_encode_backward)
+    encode, encoded = train_mod.encode, []
+
+    def spy_encode(params, seqs):
+        encoded[:] = [seqs]
+        return encode(params, seqs)
+
+    monkeypatch.setattr(train_mod, "encode", spy_encode)
+    monkeypatch.setattr(
+        train_mod, "encode_backward", lambda p, cache, g: dense_encode_backward(p, encoded[0], cache, g)
+    )
     monkeypatch.setattr(train_mod, "adam_step", dense_adam_step)
     dense = train(cfg, [], dataset_fn=_oracle_groups)
 
