@@ -30,7 +30,6 @@ from .evaluation import (
     sts_eval,
 )
 from .losses import (
-    LossConfig,
     LossOutput,
     minmax_normalize,
     multi_positive_loss,
@@ -40,7 +39,6 @@ from .train import TrainConfig, init_params, load_config, schedule, train
 
 __all__ = [
     "EvalReport",
-    "LossConfig",
     "LossOutput",
     "ModelParams",
     "OptimizerState",

@@ -22,9 +22,11 @@ import numpy as np
 
 from .data import (
     DataFormatError,
+    DatasetMismatchError,
     SentenceGroup,
     assemble_groups,
     attach_hard_negatives,
+    check_fit,
     gen_cipher_corpus,
     groups_to_pairs,
     pairs_to_groups,
@@ -33,7 +35,7 @@ from .data import (
     write_groups_jsonl,
     write_pairs_tsv,
 )
-from .encoder import CheckpointError, NonFiniteGradientError, load_checkpoint
+from .encoder import CheckpointError, load_checkpoint
 from .evaluation import (
     EvalReport,
     encode_texts,
@@ -42,7 +44,7 @@ from .evaluation import (
     retrieval_accuracy,
     sts_eval,
 )
-from .train import DatasetMismatchError, NonFiniteLossError, TrainConfig, load_config, train, write_log_jsonl
+from .train import TrainConfig, load_config, train, write_log_jsonl
 
 
 class UsageError(Exception):
@@ -143,12 +145,13 @@ def _cmd_to_pairs(args) -> CommandOutcome:
 
 def _cmd_synth(args) -> CommandOutcome:
     vocab = args.vocab if args.vocab else args.concepts * args.sentence_len
-    if not 0.0 <= args.fresh_rate <= 1.0:
-        raise UsageError(f"--fresh-rate must be in [0, 1], got {args.fresh_rate}")
-    train_groups, eval_groups = gen_cipher_corpus(
-        args.concepts, args.sentence_len, args.langs, args.heldout, vocab, args.seed,
-        heldout_fresh_rate=args.fresh_rate,
-    )
+    try:
+        train_groups, eval_groups = gen_cipher_corpus(
+            args.concepts, args.sentence_len, args.langs, args.heldout, vocab, args.seed,
+            heldout_fresh_rate=args.fresh_rate,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "groups.jsonl")
     write_groups_jsonl(train_groups, train_path)
@@ -170,16 +173,9 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _train(cfg: TrainConfig, groups, **kwargs):
-    try:
-        return train(cfg, groups, **kwargs)
-    except DatasetMismatchError as exc:
-        raise UsageError(f"config does not fit the dataset: {exc}") from exc
-
-
 def _cmd_train(args) -> CommandOutcome:
     cfg = _train_config(args, TrainConfig(), seed=args.seed)
-    result = _train(cfg, read_groups_jsonl(args.data), out_dir=args.out)
+    result = train(cfg, read_groups_jsonl(args.data), out_dir=args.out)
     log_path = os.path.join(args.out, "log.jsonl")
     write_log_jsonl(result.records, log_path)
     if result.dropped_tail_groups:
@@ -356,6 +352,8 @@ def _cmd_compare(args) -> CommandOutcome:
     pivot = args.pivot or train_langs[0]
 
     seen_texts = {lang: _group_texts(groups, lang) for lang in train_langs}
+    held_texts = {lang: _group_texts(heldout, lang) for lang in heldout_langs}
+    pivot_texts = _group_texts(heldout, pivot) if heldout_langs else []
 
     def evaluate(params) -> dict:
         embs = {lang: encode_texts(params, seen_texts[lang], base.max_len) for lang in train_langs}
@@ -369,21 +367,26 @@ def _cmd_compare(args) -> CommandOutcome:
             "seen_retrieval": float(np.mean(accs)),
             "seen_retrieval_min": float(np.min(accs)),
         }
-        held_accs = []
-        for lang in heldout_langs:
-            acc = retrieval_accuracy(
-                encode_texts(params, _group_texts(heldout, lang), base.max_len),
-                encode_texts(params, _group_texts(heldout, pivot), base.max_len),
-            )
-            out[f"heldout_retrieval_{lang}"] = acc
-            held_accs.append(acc)
-        if held_accs:
-            out["heldout_retrieval"] = float(np.mean(held_accs))
+        if heldout_langs:
+            pivot_embs = encode_texts(params, pivot_texts, base.max_len)
+            held = {
+                f"heldout_retrieval_{lang}": retrieval_accuracy(
+                    encode_texts(params, held_texts[lang], base.max_len), pivot_embs
+                )
+                for lang in heldout_langs
+            }
+            out.update(held, heldout_retrieval=float(np.mean(list(held.values()))))
         return out
 
     seeds = [args.seed + i for i in range(args.seeds)]
     conv = groups_to_pairs(groups, [args.seed, 3, 0])
-    _check_pair_conservation(groups, pairs_to_groups(conv.pairs), conv.dropped_sentences)
+    pair_groups = pairs_to_groups(conv.pairs)
+    _check_pair_conservation(groups, pair_groups, conv.dropped_sentences)
+    # The single arm's fit, checked before any arm trains: every epoch's
+    # pairing has two languages per group and no hard negatives, so epoch 0's
+    # stands for all of them.
+    check_fit(pair_groups, 1, base.use_hard_negatives)
+    del conv, pair_groups  # not needed while the arms train
 
     def pairing(seed: int):
         # a fresh random matching per epoch, or epoch 0's throughout under
@@ -404,7 +407,7 @@ def _cmd_compare(args) -> CommandOutcome:
             ("single", replace(base, seed=seed, objective="single", k_positives=1), pairing(seed)),
         ):
             t0 = time.perf_counter()
-            params = _train(cfg, groups, dataset_fn=dataset_fn).params
+            params = train(cfg, groups, dataset_fn=dataset_fn).params
             wall[name] += time.perf_counter() - t0
             arms[name]["runs"].append({"seed": seed, **evaluate(params)})
             del params  # the next arm trains with no other model alive
@@ -521,15 +524,13 @@ def run(argv: list[str]) -> CommandOutcome:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return CommandOutcome(1)
+    except DatasetMismatchError as exc:
+        print(f"usage error: config does not fit the dataset: {exc}", file=sys.stderr)
+        return CommandOutcome(1)
     except (DataFormatError, CheckpointError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return CommandOutcome(2)
-    except (
-        NonFiniteLossError,
-        NonFiniteGradientError,
-        FloatingPointError,
-        ValueError,
-    ) as exc:
+    except (FloatingPointError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return CommandOutcome(3)
 

@@ -23,6 +23,14 @@ class DataFormatError(ValueError):
     """Malformed input data (bad file, conflicting records, ...)."""
 
 
+class DatasetMismatchError(ValueError):
+    """The groups do not fit the training settings.
+
+    Too few languages for K positives, missing hard negatives, or no
+    groups at all.
+    """
+
+
 @dataclass
 class SentenceGroup:
     id: str
@@ -151,6 +159,22 @@ def pairs_to_groups(pairs: Sequence[PairRecord]) -> list[SentenceGroup]:
     ]
 
 
+def check_fit(groups: Sequence[SentenceGroup], k_positives: int, use_hard_negatives: bool) -> None:
+    """Raise DatasetMismatchError unless every group can be batched.
+
+    A group needs an anchor plus k_positives other languages, and hard
+    negatives when use_hard_negatives is set.
+    """
+    for g in groups:
+        if len(g.texts) < k_positives + 1:
+            raise DatasetMismatchError(
+                f"group {g.id!r} has {len(g.texts)} languages, need {k_positives + 1} "
+                f"(k_positives={k_positives} plus the anchor)"
+            )
+        if use_hard_negatives and not g.hard_negatives:
+            raise DatasetMismatchError(f"group {g.id!r} lacks hard negatives")
+
+
 def make_batches(
     groups: Sequence[SentenceGroup],
     batch_size: int,
@@ -166,19 +190,13 @@ def make_batches(
     Per group the anchor language is uniform and the K positive
     languages are sampled uniformly without replacement from the rest.
     A final batch smaller than 2 is dropped (no in-batch negatives).
+    Groups that fail check_fit raise DatasetMismatchError.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be at least 2, got {batch_size}")
     if k_positives < 1:
         raise ValueError(f"k_positives must be at least 1, got {k_positives}")
-    for g in groups:
-        if len(g.texts) < k_positives + 1:
-            raise ValueError(
-                f"group {g.id!r} has {len(g.texts)} languages, need at least {k_positives + 1} "
-                f"for {k_positives} positives plus an anchor"
-            )
-        if use_hard_negatives and not g.hard_negatives:
-            raise ValueError(f"group {g.id!r} has no hard negatives but use_hard_negatives is set")
+    check_fit(groups, k_positives, use_hard_negatives)
 
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(groups))

@@ -26,28 +26,6 @@ NORMALIZATIONS = ("min_max", "identity")
 
 
 @dataclass
-class LossConfig:
-    """Knobs shared by both objectives.
-
-    tau: softmax temperature, must be positive.
-    normalization: per-anchor score transform used by the multi-positive
-        objective ("min_max" or "identity"). The single-positive
-        objective always consumes raw similarities.
-    """
-
-    tau: float = 0.05
-    normalization: str = "min_max"
-
-    def __post_init__(self) -> None:
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(
-                f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
-            )
-
-
-@dataclass
 class LossOutput:
     """Loss value in nats plus gradients matching the input shapes."""
 
@@ -92,6 +70,10 @@ def _loss_kernel(
 ) -> LossOutput:
     # Shared forward/backward for both objectives. positives is (N, K, d);
     # the single-positive path passes K=1 and identity normalization.
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
     A = np.ascontiguousarray(anchors, dtype=np.float64)
     P = np.ascontiguousarray(positives, dtype=np.float64)
     if A.ndim != 2 or P.ndim != 3:
@@ -177,29 +159,30 @@ def _loss_kernel(
     return LossOutput(value, grad_a, grad_p, grad_h)
 
 
-def single_positive_loss(anchors, positives, cfg: LossConfig) -> LossOutput:
+def single_positive_loss(anchors, positives, *, tau: float) -> LossOutput:
     """Mean InfoNCE over anchors with one positive each.
 
     Candidates for anchor i are its positive followed by the other
-    anchors. Scores stay raw (no normalization) regardless of
-    cfg.normalization. grad_positives comes back with shape (N, d).
+    anchors, and scores stay raw (no normalization). tau is the
+    softmax temperature. grad_positives comes back with shape (N, d).
     """
     P = np.asarray(positives, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError(f"expected positives of shape (N,d), got {P.shape}")
-    out = _loss_kernel(anchors, P[:, None, :], None, cfg.tau, "identity")
+    out = _loss_kernel(anchors, P[:, None, :], None, tau, "identity")
     return LossOutput(out.value, out.grad_anchor, out.grad_positives[:, 0, :], None)
 
 
-def multi_positive_loss(anchors, positives, hard_negatives=None, cfg: LossConfig | None = None) -> LossOutput:
+def multi_positive_loss(
+    anchors, positives, hard_negatives=None, *, tau: float, normalization: str
+) -> LossOutput:
     """Mean multi-positive loss: -log of the positives' softmax mass.
 
     Per anchor the candidate scores (K positives, other anchors, then
-    the optional hard negative) pass through cfg.normalization, and the
-    loss is -log(sum_pos exp(S/tau) / sum_all exp(S/tau)). Gradients
-    are exact, including the min/max subgradient terms of the
-    normalizer (first-index tie-break, zero in the degenerate
-    max == min case).
+    the optional hard negative) pass through the normalization (one of
+    NORMALIZATIONS), and the loss is
+    -log(sum_pos exp(S/tau) / sum_all exp(S/tau)). Gradients are exact,
+    including the min/max subgradient terms of the normalizer
+    (first-index tie-break, zero in the degenerate max == min case).
     """
-    cfg = cfg if cfg is not None else LossConfig()
-    return _loss_kernel(anchors, positives, hard_negatives, cfg.tau, cfg.normalization)
+    return _loss_kernel(anchors, positives, hard_negatives, tau, normalization)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import SentenceGroup, make_batches
+from .data import DatasetMismatchError, SentenceGroup, check_fit, make_batches
 from .encoder import (
     ModelParams,
     OptimizerState,
@@ -28,17 +28,13 @@ from .encoder import (
     encode_backward,
     save_checkpoint,
 )
-from .losses import NORMALIZATIONS, LossConfig, multi_positive_loss, single_positive_loss
+from .losses import NORMALIZATIONS, multi_positive_loss, single_positive_loss
 
 OBJECTIVES = ("single", "multi")
 
 
 class NonFiniteLossError(FloatingPointError):
     """Training hit a NaN or infinite loss."""
-
-
-class DatasetMismatchError(ValueError):
-    """The dataset does not fit the config; raised before any step runs."""
 
 
 @dataclass
@@ -65,12 +61,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be at least 1, got {self.max_len}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if not (self.lr_warmup > 0.0 and self.lr_main > 0.0):
-            raise ValueError("learning rates must be positive")
+        for lr in (self.lr_warmup, self.lr_main):
+            if not (lr > 0.0 and math.isfinite(lr)):
+                raise ValueError(f"learning rates must be positive and finite, got {lr}")
         if self.k_positives < 1:
             raise ValueError(f"k_positives must be at least 1, got {self.k_positives}")
         if self.epochs < 0:
@@ -257,21 +254,14 @@ def train(
     def epoch_groups(epoch: int) -> Sequence[SentenceGroup]:
         return dataset_fn(epoch) if dataset_fn is not None else groups
 
-    # Fail on dataset/config mismatches before any step runs.
+    # Fail on dataset/config mismatches before any step runs; make_batches
+    # checks every later epoch's groups the same way.
     probe = epoch_groups(0)
-    for g in probe:
-        if len(g.texts) < cfg.k_positives + 1:
-            raise DatasetMismatchError(
-                f"group {g.id!r} has {len(g.texts)} languages, need {cfg.k_positives + 1} "
-                f"(k_positives={cfg.k_positives} plus the anchor)"
-            )
-        if cfg.use_hard_negatives and not g.hard_negatives:
-            raise DatasetMismatchError(f"group {g.id!r} lacks hard negatives")
+    check_fit(probe, cfg.k_positives, cfg.use_hard_negatives)
 
     params = init_params(cfg, cfg.seed)
     opt = OptimizerState.fresh(params)
     order = _FirstTouchOrder(params, opt)
-    loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
     records: list[TrainLogRecord] = []
     paths: list[str] = []
     dropped_tail = 0
@@ -311,13 +301,15 @@ def train(
             if objective == "single":
                 pick_rng = np.random.default_rng([cfg.seed, 2, step])
                 picked = pick_rng.integers(k, size=n)
-                out = single_positive_loss(anchors, positives[np.arange(n), picked], loss_cfg)
+                out = single_positive_loss(anchors, positives[np.arange(n), picked], tau=cfg.tau)
                 grad_rows[:n] = out.grad_anchor
                 pos_grads = np.zeros_like(positives)
                 pos_grads[np.arange(n), picked] = out.grad_positives
                 grad_rows[n : n + n * k] = pos_grads.reshape(n * k, cfg.dim)
             else:
-                out = multi_positive_loss(anchors, positives, hard, loss_cfg)
+                out = multi_positive_loss(
+                    anchors, positives, hard, tau=cfg.tau, normalization=cfg.normalization
+                )
                 grad_rows[:n] = out.grad_anchor
                 grad_rows[n : n + n * k] = out.grad_positives.reshape(n * k, cfg.dim)
                 if hard is not None:

@@ -28,7 +28,7 @@ from multipos.encoder import (
     encode_backward,
     save_checkpoint,
 )
-from multipos.losses import LossConfig, multi_positive_loss, single_positive_loss
+from multipos.losses import multi_positive_loss, single_positive_loss
 from multipos.train import TrainConfig, init_params, schedule
 
 # the module, not the train() function the package exports under that name
@@ -62,14 +62,16 @@ def candidate_score_rows(A, P, H=None) -> list[np.ndarray]:
     return rows
 
 
-def loss_oracle(anchors, positives, hard_negatives=None, cfg: LossConfig | None = None) -> float:
+def loss_oracle(
+    anchors, positives, hard_negatives=None, *, tau: float, normalization: str | None = None
+) -> float:
     """Reference loss by naive per-candidate summation.
 
     Dispatches on the positives rank: (N,d) means the single-positive
-    objective, (N,K,d) the multi-positive one. No vectorized shortcuts
-    and no max subtraction; fine for small instances only.
+    objective, (N,K,d) the multi-positive one; normalization applies to
+    the multi-positive one only. No vectorized shortcuts and no max
+    subtraction; fine for small instances only.
     """
-    cfg = cfg if cfg is not None else LossConfig()
     A = np.asarray(anchors, dtype=np.float64)
     P = np.asarray(positives, dtype=np.float64)
     if P.ndim == 2:
@@ -88,19 +90,19 @@ def loss_oracle(anchors, positives, hard_negatives=None, cfg: LossConfig | None 
     rows = candidate_score_rows(A, P, H)
     for row in rows:
         scores = [float(x) for x in row]
-        if multi and cfg.normalization == "min_max":
+        if multi and normalization == "min_max":
             lo = min(scores)
             hi = max(scores)
             if hi == lo:
                 scaled = [0.0 for _ in scores]
             else:
-                scaled = [((x - lo) / (hi - lo) * 2.0 - 1.0) / cfg.tau for x in scores]
+                scaled = [((x - lo) / (hi - lo) * 2.0 - 1.0) / tau for x in scores]
         else:
             scaled = scores
         num = 0.0
         den = 0.0
         for c, x in enumerate(scaled):
-            term = math.exp(x / cfg.tau)
+            term = math.exp(x / tau)
             den += term
             if c < k:
                 num += term
@@ -397,7 +399,6 @@ def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
     """
     params = init_params(cfg, cfg.seed)
     opt = OptimizerState.fresh(params)
-    loss_cfg = LossConfig(tau=cfg.tau, normalization=cfg.normalization)
     losses = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -416,12 +417,14 @@ def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
             grad_rows = np.zeros_like(embs)
             if objective == "single":
                 picked = np.random.default_rng([cfg.seed, 2, step]).integers(k, size=n)
-                out = single_positive_loss(anchors, positives[np.arange(n), picked], loss_cfg)
+                out = single_positive_loss(anchors, positives[np.arange(n), picked], tau=cfg.tau)
                 grad_rows[:n] = out.grad_anchor
                 grad_rows[n + np.arange(n) * k + picked] = out.grad_positives
             else:
                 hard = embs[n + n * k :] if batch.hard_negatives else None
-                out = multi_positive_loss(anchors, positives, hard, loss_cfg)
+                out = multi_positive_loss(
+                    anchors, positives, hard, tau=cfg.tau, normalization=cfg.normalization
+                )
                 grad_rows[:n] = out.grad_anchor
                 grad_rows[n : n + n * k] = out.grad_positives.reshape(n * k, cfg.dim)
                 if hard is not None:

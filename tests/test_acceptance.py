@@ -17,7 +17,7 @@ import scipy.stats
 from multipos import cli
 from multipos.data import SentenceGroup, gen_cipher_corpus, groups_to_pairs, make_batches
 from multipos.encoder import ModelParams, encode, encode_backward, load_checkpoint, save_checkpoint
-from multipos.losses import LossConfig, minmax_normalize, multi_positive_loss, single_positive_loss
+from multipos.losses import minmax_normalize, multi_positive_loss, single_positive_loss
 from multipos.evaluation import mine_pairs_f1, retrieval_accuracy, spearman
 from multipos.train import TrainConfig, train
 
@@ -55,10 +55,9 @@ def _loss_fd_worst(n_instances: int) -> float:
         tau = (0.05, 0.2, 1.0)[trial % 3]
         with_hard = trial % 5 == 0
         A, P, H = margined_instance(rng, n, k, d, with_hard=with_hard)
-        cfg = LossConfig(tau=tau, normalization=norm)
-        out = multi_positive_loss(A, P, H, cfg)
+        out = multi_positive_loss(A, P, H, tau=tau, normalization=norm)
         arrays = [A, P] + ([H] if with_hard else [])
-        fd = central_diff(lambda: multi_positive_loss(A, P, H, cfg).value, arrays)
+        fd = central_diff(lambda: multi_positive_loss(A, P, H, tau=tau, normalization=norm).value, arrays)
         analytic = [out.grad_anchor, out.grad_positives]
         if with_hard:
             analytic.append(out.grad_hard_negatives)
@@ -67,7 +66,7 @@ def _loss_fd_worst(n_instances: int) -> float:
 
 
 def _e2e_fd_worst(seeds) -> float:
-    cfg = LossConfig(tau=0.05, normalization="min_max")
+    cfg = dict(tau=0.05, normalization="min_max")
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng([987, seed])
@@ -84,10 +83,10 @@ def _e2e_fd_worst(seeds) -> float:
 
         def forward() -> float:
             embs, _ = encode(params, batch)
-            return multi_positive_loss(embs[:3], embs[3:12].reshape(3, 3, 8), cfg=cfg).value
+            return multi_positive_loss(embs[:3], embs[3:12].reshape(3, 3, 8), **cfg).value
 
         embs, cache = encode(params, batch)
-        out = multi_positive_loss(embs[:3], embs[3:12].reshape(3, 3, 8), cfg=cfg)
+        out = multi_positive_loss(embs[:3], embs[3:12].reshape(3, 3, 8), **cfg)
         grad_rows = np.concatenate([out.grad_anchor, out.grad_positives.reshape(9, 8)])
         grads = encode_backward(params, cache, grad_rows)
         table_grad = densify(grads, 64)
@@ -156,25 +155,23 @@ def test_losses_match_naive_reference(capsys):
         tau = (0.05, 0.2, 1.0)[trial % 3]
         norm = "min_max" if trial % 2 == 0 else "identity"
         if trial % 3 == 2:
-            cfg = LossConfig(tau=tau, normalization=norm)
             while True:
                 A = unit_rows(rng, n, d)
                 p = unit_rows(rng, n, d)
                 if _informative(A, p[:, None, :], None, 1):
                     break
-            got = single_positive_loss(A, p, cfg).value
-            want = loss_oracle(A, p, cfg=cfg)
+            got = single_positive_loss(A, p, tau=tau).value
+            want = loss_oracle(A, p, tau=tau)
         else:
             with_hard = trial % 4 == 0
-            cfg = LossConfig(tau=tau, normalization=norm)
             while True:
                 A = unit_rows(rng, n, d)
                 P = unit_rows(rng, n * k, d).reshape(n, k, d)
                 H = unit_rows(rng, n, d) if with_hard else None
                 if _informative(A, P, H, k):
                     break
-            got = multi_positive_loss(A, P, H, cfg).value
-            want = loss_oracle(A, P, H, cfg=cfg)
+            got = multi_positive_loss(A, P, H, tau=tau, normalization=norm).value
+            want = loss_oracle(A, P, H, tau=tau, normalization=norm)
         worst_oracle = max(worst_oracle, abs(got - want) / max(abs(got), abs(want), 1e-12))
 
     worst_reduction = 0.0
@@ -182,11 +179,11 @@ def test_losses_match_naive_reference(capsys):
         rng = np.random.default_rng([556, trial])
         n = int(rng.integers(2, 9))
         d = int(rng.integers(4, 17))
-        cfg = LossConfig(tau=float(rng.uniform(0.05, 2.0)), normalization="identity")
+        tau = float(rng.uniform(0.05, 2.0))
         A = unit_rows(rng, n, d)
         P = unit_rows(rng, n, d).reshape(n, 1, d)
-        multi = multi_positive_loss(A, P, cfg=cfg)
-        single = single_positive_loss(A, P[:, 0, :], cfg)
+        multi = multi_positive_loss(A, P, tau=tau, normalization="identity")
+        single = single_positive_loss(A, P[:, 0, :], tau=tau)
         worst_reduction = max(
             worst_reduction,
             rel_err(np.array([multi.value]), np.array([single.value])),
@@ -208,12 +205,11 @@ def test_losses_match_naive_reference(capsys):
 
 def test_closed_form_loss_values(capsys):
     eye = np.eye(8)
-    cfg = LossConfig(tau=1.0, normalization="identity")
-    single = single_positive_loss(eye[:4], eye[4:8], cfg).value
+    single = single_positive_loss(eye[:4], eye[4:8], tau=1.0).value
     err_single = abs(single - math.log(4.0))
 
     multi = multi_positive_loss(
-        eye[:2], np.stack([eye[2:4], eye[2:4]]), cfg=cfg
+        eye[:2], np.stack([eye[2:4], eye[2:4]]), tau=1.0, normalization="identity"
     ).value
     err_multi = abs(multi - (-math.log(2.0 / 3.0)))
     ok = err_single <= 1e-9 and err_multi <= 1e-9

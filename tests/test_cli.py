@@ -12,6 +12,7 @@ from multipos import cli
 from multipos.data import (
     DataFormatError,
     SentenceGroup,
+    attach_hard_negatives,
     gen_cipher_corpus,
     read_groups_jsonl,
     read_pairs_tsv,
@@ -71,6 +72,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
     cfg = _write(tmp_path / "unknown.json", '{"batch_sizes": 4}')
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "r")]).exit_code == 1
+
+    # 1e999 parses as inf: a non-finite setting is a bad config, not a numeric failure
+    capsys.readouterr()
+    for key in ("tau", "lr_main"):
+        cfg = _write(tmp_path / "inf.json", f'{{"{key}": 1e999}}')
+        out = cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "inf")])
+        assert out.exit_code == 1
+        assert "usage error: bad config" in capsys.readouterr().err
 
     # the dataset-fit check runs before step 0: 3 languages cannot give an anchor and 3 positives
     cfg = _tiny_train_config(tmp_path, k_positives=3)
@@ -138,7 +147,13 @@ def test_synth_artifacts_and_determinism(tmp_path, capsys):
     out = cli.run(["synth", "--concepts", "5", "--heldout", "0", "--out", str(tmp_path / "d3")])
     assert [p.rsplit("/", 1)[-1] for p in out.artifacts] == ["groups.jsonl"]
 
-    assert cli.run(["synth", "--fresh-rate", "2.0", "--out", str(tmp_path / "d4")]).exit_code == 1
+    capsys.readouterr()
+    for flags in (["--fresh-rate", "2.0"], ["--concepts", "0"], ["--langs", "0"], ["--heldout", "-1"],
+                  ["--vocab", "5"]):
+        assert cli.run(["synth", *flags, "--out", str(tmp_path / "d4")]).exit_code == 1, flags
+        err = capsys.readouterr().err
+        assert "usage error" in err and "numeric failure" not in err, flags
+    assert not (tmp_path / "d4").exists()
 
 
 def test_build_data_and_hard_negatives(tmp_path, capsys):
@@ -465,7 +480,7 @@ def _synth_corpus(tmp_path):
     return str(out_dir / "groups.jsonl"), str(out_dir / "heldout.jsonl")
 
 
-def _compare_config(tmp_path):
+def _compare_config(tmp_path, **kw):
     return _write(tmp_path / "cmp.json", json.dumps(dict(
         batch_size=8,
         k_positives=3,
@@ -475,6 +490,7 @@ def _compare_config(tmp_path):
         warmup_enabled=False,
         hash_bits=10,
         dim=16,
+        **kw,
     )))
 
 
@@ -509,6 +525,59 @@ def test_compare_report_structure(tmp_path, capsys):
     assert cli.run(["compare", "--data", data, "--heldout", heldout, "--config", cfg,
                     "--seeds", "1", "--k", "9"]).exit_code == 1
     assert "config does not fit the dataset" in capsys.readouterr().err
+
+
+def test_compare_checks_the_single_arm_fit_before_training(tmp_path, monkeypatch, capsys):
+    # every group has hard negatives, so the multi arm fits; the single
+    # arm's pairs carry none, and that must fail before any arm trains
+    train_groups, eval_groups = gen_cipher_corpus(30, 5, 4, 1, 150, 1)
+    attach_hard_negatives(
+        train_groups, [(lang, g.id, f"hn {lang} {g.id}") for g in train_groups for lang in g.texts]
+    )
+    data, heldout = str(tmp_path / "groups.jsonl"), str(tmp_path / "heldout.jsonl")
+    write_groups_jsonl(train_groups, data)
+    write_groups_jsonl(eval_groups, heldout)
+    cfg = _compare_config(tmp_path, use_hard_negatives=True)
+    real = cli.train
+    calls = []
+
+    def counted(train_cfg, *args, **kwargs):
+        calls.append(train_cfg.objective)
+        return real(train_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", counted)
+    out = cli.run(["compare", "--data", data, "--heldout", heldout, "--config", cfg, "--seeds", "1"])
+    assert out.exit_code == 1
+    assert "config does not fit the dataset: group 'p0000000' lacks hard negatives" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_compare_encodes_the_pivot_once_per_evaluation(tmp_path, monkeypatch):
+    train_groups, eval_groups = gen_cipher_corpus(30, 5, 4, 2, 150, 1)
+    data, heldout = str(tmp_path / "groups.jsonl"), str(tmp_path / "heldout.jsonl")
+    write_groups_jsonl(train_groups, data)
+    write_groups_jsonl(eval_groups, heldout)
+    real = cli.encode_texts
+    calls = []
+
+    def counted(params, texts, *args, **kwargs):
+        calls.append(texts[0])
+        return real(params, texts, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "encode_texts", counted)
+    report_path = tmp_path / "report.json"
+    out = cli.run(["compare", "--data", data, "--heldout", heldout, "--config", _compare_config(tmp_path),
+                   "--seeds", "1", "--out", str(report_path)])
+    assert out.exit_code == 0
+    report = json.loads(report_path.read_text())
+    assert report["heldout_languages"] == ["h0", "h1"]
+    # per arm: 4 seen languages, the pivot once, 2 held-out languages
+    assert len(calls) == 2 * (4 + 1 + 2)
+    pivot_first = eval_groups[0].texts["l0"]
+    assert sum(c == pivot_first for c in calls) == 2 * (1 + 1)  # seen l0 and the pivot, per arm
+    for arm in report["arms"].values():
+        run = arm["runs"][0]
+        assert run["heldout_retrieval"] == (run["heldout_retrieval_h0"] + run["heldout_retrieval_h1"]) / 2
 
 
 def test_compare_fixed_pairs_and_byte_identical_reports(tmp_path):

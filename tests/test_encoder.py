@@ -28,7 +28,7 @@ from multipos.encoder import (
     save_checkpoint,
     tokenize,
 )
-from multipos.losses import LossConfig, multi_positive_loss
+from multipos.losses import multi_positive_loss
 
 from helpers import (
     dense_adam_step,
@@ -264,14 +264,13 @@ def test_end_to_end_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     params = _params(rng, hash_bits=3, dim=4, scale=0.8)
     batch = [[1, 2], [3], [2, 4], [5]]  # anchors then positives; token 2 shared
-    cfg = LossConfig(tau=0.2, normalization="identity")
 
     def forward() -> float:
         embs, _ = encode(params, batch)
-        return multi_positive_loss(embs[:2], embs[2:4, None, :], cfg=cfg).value
+        return multi_positive_loss(embs[:2], embs[2:4, None, :], tau=0.2, normalization="identity").value
 
     embs, cache = encode(params, batch)
-    out = multi_positive_loss(embs[:2], embs[2:4, None, :], cfg=cfg)
+    out = multi_positive_loss(embs[:2], embs[2:4, None, :], tau=0.2, normalization="identity")
     grad_rows = np.concatenate([out.grad_anchor, out.grad_positives[:, 0, :]])
     grads = encode_backward(params, cache, grad_rows)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipos.losses import (
-    LossConfig,
     minmax_normalize,
     multi_positive_loss,
     single_positive_loss,
@@ -24,17 +23,17 @@ from helpers import (
 )
 
 
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(tau=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(tau=float("inf"))
-    with pytest.raises(ValueError):
-        LossConfig(normalization="softmax")
-    cfg = LossConfig()
-    assert cfg.tau == 0.05 and cfg.normalization == "min_max"
+def test_loss_settings_validation():
+    e = np.eye(6)
+    A, P = e[:2], np.stack([e[2:4], e[4:6]])
+    for tau in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            multi_positive_loss(A, P, tau=tau, normalization="min_max")
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            single_positive_loss(A, P[:, 0], tau=tau)
+    # an unknown normalization is an error, not a silent identity
+    with pytest.raises(ValueError, match="normalization must be one of"):
+        multi_positive_loss(A, P, tau=1.0, normalization="softmax")
 
 
 def test_minmax_documented_values():
@@ -103,7 +102,7 @@ def test_multi_loss_nonnegative(seed):
     P = unit_rows(rng, n * k, d).reshape(n, k, d)
     tau = float(rng.uniform(0.05, 2.0))
     norm = "min_max" if seed % 2 == 0 else "identity"
-    out = multi_positive_loss(A, P, cfg=LossConfig(tau=tau, normalization=norm))
+    out = multi_positive_loss(A, P, tau=tau, normalization=norm)
     assert out.value >= 0.0
     assert math.isfinite(out.value)
 
@@ -118,17 +117,16 @@ def test_closed_form_uniform_single():
     e = np.eye(8)
     anchors = e[:4]
     positives = e[4:8]
-    out = single_positive_loss(anchors, positives, LossConfig(tau=0.05))
+    out = single_positive_loss(anchors, positives, tau=0.05)
     assert abs(out.value - math.log(4.0)) <= 1e-9
-    assert abs(loss_oracle(anchors, positives, cfg=LossConfig(tau=0.05)) - math.log(4.0)) <= 1e-12
+    assert abs(loss_oracle(anchors, positives, tau=0.05) - math.log(4.0)) <= 1e-12
 
 
 def test_closed_form_uniform_multi():
     e = np.eye(6)
     anchors = e[:2]
     positives = np.stack([e[2:4], e[4:6]])
-    cfg = LossConfig(tau=1.0, normalization="identity")
-    out = multi_positive_loss(anchors, positives, cfg=cfg)
+    out = multi_positive_loss(anchors, positives, tau=1.0, normalization="identity")
     assert abs(out.value - (-math.log(2.0 / 3.0))) <= 1e-9
 
 
@@ -136,7 +134,7 @@ def test_closed_form_two_term():
     # sim(anchor0, pos0) = 1, sim(anchor0, anchor1) = -1
     a = np.array([[1.0, 0.0], [-1.0, 0.0]])
     p = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    out = single_positive_loss(a, p, LossConfig(tau=1.0))
+    out = single_positive_loss(a, p, tau=1.0)
     assert abs(out.value - math.log(1.0 + math.exp(-2.0))) <= 1e-9
 
 
@@ -146,7 +144,7 @@ def test_degenerate_row_zero_gradient():
     e = np.eye(6)
     anchors = e[:2]
     positives = np.stack([e[2:4], e[4:6]])
-    out = multi_positive_loss(anchors, positives, cfg=LossConfig(tau=0.05, normalization="min_max"))
+    out = multi_positive_loss(anchors, positives, tau=0.05, normalization="min_max")
     assert abs(out.value - math.log(3.0 / 2.0)) <= 1e-12
     assert np.array_equal(out.grad_anchor, np.zeros_like(out.grad_anchor))
     assert np.array_equal(out.grad_positives, np.zeros_like(out.grad_positives))
@@ -164,7 +162,7 @@ def test_minmax_tie_takes_first_index():
     p11 = np.array([0, 0.6, 0, 0, 0, 0.8])
     A = np.stack([a0, a1])
     P = np.stack([[p00, p01], [p10, p11]])
-    out = multi_positive_loss(A, P, cfg=LossConfig(tau=1.0, normalization="min_max"))
+    out = multi_positive_loss(A, P, tau=1.0, normalization="min_max")
 
     # hand evaluation of row 0: scores [0.5, 0.5, 0.0] -> z = [1, 1, -1]
     pall2 = 1.0 / (2.0 * math.e**2 + 1.0)
@@ -202,9 +200,8 @@ def test_k1_identity_reduction():
         A = unit_rows(rng, n, d)
         P = unit_rows(rng, n, d)
         tau = float(rng.uniform(0.05, 2.0))
-        cfg = LossConfig(tau=tau, normalization="identity")
-        multi = multi_positive_loss(A, P[:, None, :], cfg=cfg)
-        single = single_positive_loss(A, P, cfg)
+        multi = multi_positive_loss(A, P[:, None, :], tau=tau, normalization="identity")
+        single = single_positive_loss(A, P, tau=tau)
         assert abs(multi.value - single.value) <= 1e-12
         assert np.abs(multi.grad_anchor - single.grad_anchor).max() <= 1e-12
         assert np.abs(multi.grad_positives[:, 0, :] - single.grad_positives).max() <= 1e-12
@@ -216,14 +213,14 @@ def test_positive_permutation_invariance():
         n, k, d = 4, 4, 8
         A = unit_rows(rng, n, d)
         P = unit_rows(rng, n * k, d).reshape(n, k, d)
-        cfg = LossConfig(
+        cfg = dict(
             tau=float(rng.uniform(0.1, 1.0)),
             normalization="min_max" if trial % 2 == 0 else "identity",
         )
         perms = [rng.permutation(k) for _ in range(n)]
         P2 = np.stack([P[i, perms[i]] for i in range(n)])
-        out = multi_positive_loss(A, P, cfg=cfg)
-        out2 = multi_positive_loss(A, P2, cfg=cfg)
+        out = multi_positive_loss(A, P, **cfg)
+        out2 = multi_positive_loss(A, P2, **cfg)
         assert abs(out.value - out2.value) <= 1e-12
         for i in range(n):
             assert np.abs(out.grad_positives[i, perms[i]] - out2.grad_positives[i]).max() <= 1e-12
@@ -240,18 +237,18 @@ def test_matches_oracle_smoke():
         A = unit_rows(rng, n, d)
         P = unit_rows(rng, n * k, d).reshape(n, k, d)
         H = unit_rows(rng, n, d) if trial % 4 == 0 else None
-        cfg = LossConfig(
+        cfg = dict(
             tau=taus[trial % 3],
             normalization="min_max" if trial % 2 == 0 else "identity",
         )
-        out = multi_positive_loss(A, P, H, cfg)
-        ref = loss_oracle(A, P, H, cfg)
+        out = multi_positive_loss(A, P, H, **cfg)
+        ref = loss_oracle(A, P, H, **cfg)
         assert rel_err(out.value, ref) <= 1e-10
 
         A2 = unit_rows(rng, n, d)
         P2 = unit_rows(rng, n, d)
-        out_s = single_positive_loss(A2, P2, cfg)
-        assert rel_err(out_s.value, loss_oracle(A2, P2, cfg=cfg)) <= 1e-10
+        out_s = single_positive_loss(A2, P2, tau=cfg["tau"])
+        assert rel_err(out_s.value, loss_oracle(A2, P2, tau=cfg["tau"])) <= 1e-10
 
 
 def test_gradients_match_finite_differences_smoke():
@@ -263,13 +260,13 @@ def test_gradients_match_finite_differences_smoke():
         d = int(rng.integers(4, 12))
         with_hard = trial % 5 == 0
         A, P, H = margined_instance(rng, n, k, d, with_hard=with_hard)
-        cfg = LossConfig(
+        cfg = dict(
             tau=taus[trial % 3],
             normalization="min_max" if trial % 2 == 0 else "identity",
         )
-        out = multi_positive_loss(A, P, H, cfg)
+        out = multi_positive_loss(A, P, H, **cfg)
         arrays = [A, P] + ([H] if H is not None else [])
-        fd = central_diff(lambda: multi_positive_loss(A, P, H, cfg).value, arrays)
+        fd = central_diff(lambda: multi_positive_loss(A, P, H, **cfg).value, arrays)
         analytic = [out.grad_anchor, out.grad_positives]
         if H is not None:
             analytic.append(out.grad_hard_negatives)
@@ -280,10 +277,9 @@ def test_single_loss_finite_differences():
     rng = np.random.default_rng(15)
     A = unit_rows(rng, 6, 8)
     P = unit_rows(rng, 6, 8)
-    cfg = LossConfig(tau=0.05)
-    out = single_positive_loss(A, P, cfg)
-    assert rel_err(out.value, loss_oracle(A, P, cfg=cfg)) <= 1e-10
-    fd = central_diff(lambda: single_positive_loss(A, P, cfg).value, [A, P])
+    out = single_positive_loss(A, P, tau=0.05)
+    assert rel_err(out.value, loss_oracle(A, P, tau=0.05)) <= 1e-10
+    fd = central_diff(lambda: single_positive_loss(A, P, tau=0.05).value, [A, P])
     assert grad_rel_err([out.grad_anchor, out.grad_positives], fd) < 1e-4
 
 
@@ -307,7 +303,7 @@ def test_gradient_flows_to_some_positive(seed):
     if not interior:
         return
     tau = float(rng.uniform(0.3, 2.0))
-    out = multi_positive_loss(A, P, cfg=LossConfig(tau=tau, normalization="min_max"))
+    out = multi_positive_loss(A, P, tau=tau, normalization="min_max")
     assert np.abs(out.grad_positives).max() > 0.0
 
 
@@ -327,16 +323,16 @@ def test_hard_negative_slot():
     A = unit_rows(rng, 3, 6)
     P = unit_rows(rng, 6, 6).reshape(3, 2, 6)
     H = unit_rows(rng, 3, 6)
-    cfg = LossConfig(tau=0.2)
+    cfg = dict(tau=0.2, normalization="min_max")
     assert [len(r) for r in candidate_score_rows(A, P, H)] == [2 + 2 + 1] * 3
-    out = multi_positive_loss(A, P, H, cfg)
-    assert rel_err(out.value, loss_oracle(A, P, H, cfg)) <= 1e-10
+    out = multi_positive_loss(A, P, H, **cfg)
+    assert rel_err(out.value, loss_oracle(A, P, H, **cfg)) <= 1e-10
     assert out.grad_hard_negatives.shape == (3, 6)
-    _assert_matches_loop(out, A, P, H, cfg.tau, cfg.normalization)
+    _assert_matches_loop(out, A, P, H, **cfg)
     # without hard negatives the slot stays empty and the column is gone
-    out2 = multi_positive_loss(A, P, cfg=cfg)
+    out2 = multi_positive_loss(A, P, **cfg)
     assert out2.grad_hard_negatives is None
-    assert rel_err(out2.value, loss_oracle(A, P, cfg=cfg)) <= 1e-10
+    assert rel_err(out2.value, loss_oracle(A, P, **cfg)) <= 1e-10
     assert abs(out2.value - out.value) > 1e-3
 
 
@@ -359,11 +355,11 @@ def test_similarity_row_layout():
     t = 1.0 / 7.0
     loss0 = math.log(math.e + 2 * math.exp(t) + 1 / math.e) - math.log(math.e + math.exp(t))
     loss1 = math.log(math.e + 3 / math.e) - math.log(math.e + 1 / math.e)
-    cfg = LossConfig(tau=1.0)
-    out = multi_positive_loss(A, P, H, cfg)
+    cfg = dict(tau=1.0, normalization="min_max")
+    out = multi_positive_loss(A, P, H, **cfg)
     assert abs(out.value - (loss0 + loss1) / 2.0) <= 1e-12
-    assert abs(loss_oracle(A, P, H, cfg) - (loss0 + loss1) / 2.0) <= 1e-12
-    _assert_matches_loop(out, A, P, H, cfg.tau, cfg.normalization)
+    assert abs(loss_oracle(A, P, H, **cfg) - (loss0 + loss1) / 2.0) <= 1e-12
+    _assert_matches_loop(out, A, P, H, **cfg)
 
 
 def test_kernel_matches_loop_oracle():
@@ -379,12 +375,12 @@ def test_kernel_matches_loop_oracle():
         tau = (0.05, 0.2, 1.0)[trial % 3]
         A, P, H = margined_instance(rng, n, k, d, with_hard=trial % 5 == 0)
         for hard in (H, None):
-            cfg = LossConfig(tau=tau, normalization=norm)
-            _assert_matches_loop(multi_positive_loss(A, P, hard, cfg), A, P, hard, tau, norm)
+            out = multi_positive_loss(A, P, hard, tau=tau, normalization=norm)
+            _assert_matches_loop(out, A, P, hard, tau, norm)
             P1 = P[:, :1]
-            _assert_matches_loop(multi_positive_loss(A, P1, hard, cfg), A, P1, hard, tau, norm)
-        cfg = LossConfig(tau=tau)
-        _assert_matches_loop(single_positive_loss(A, P[:, 0], cfg), A, P[:, :1], None, tau, "identity")
+            out = multi_positive_loss(A, P1, hard, tau=tau, normalization=norm)
+            _assert_matches_loop(out, A, P1, hard, tau, norm)
+        _assert_matches_loop(single_positive_loss(A, P[:, 0], tau=tau), A, P[:, :1], None, tau, "identity")
 
     # exactly degenerate rows: every candidate score is 0
     e = np.eye(8)
@@ -392,7 +388,7 @@ def test_kernel_matches_loop_oracle():
     P = np.stack([e[2:4], e[4:6]])
     H = e[6:8]
     for hard in (None, H):
-        out = multi_positive_loss(A, P, hard, LossConfig(tau=0.05))
+        out = multi_positive_loss(A, P, hard, tau=0.05, normalization="min_max")
         _assert_matches_loop(out, A, P, hard, 0.05, "min_max")
         grads = [out.grad_anchor, out.grad_positives] + ([] if hard is None else [out.grad_hard_negatives])
         for g in grads:
@@ -409,7 +405,7 @@ def test_kernel_matches_loop_oracle():
     assert rows[1][0] == rows[1][2] == rows[1].max()
     assert rows[2][0] == rows[2][1] == rows[2].min()
     for tau in (0.05, 1.0):
-        out = multi_positive_loss(A, P, cfg=LossConfig(tau=tau))
+        out = multi_positive_loss(A, P, tau=tau, normalization="min_max")
         _assert_matches_loop(out, A, P, None, tau, "min_max")
         assert np.array_equal(out.grad_positives[0], np.zeros((1, 8)))
 
@@ -418,22 +414,22 @@ def test_input_validation():
     rng = np.random.default_rng(17)
     A = unit_rows(rng, 2, 4)
     P = unit_rows(rng, 4, 4).reshape(2, 2, 4)
-    cfg = LossConfig(tau=1.0)
+    cfg = dict(tau=1.0, normalization="min_max")
     with pytest.raises(ValueError):
-        multi_positive_loss(A[:1], P[:1], cfg=cfg)  # N < 2
+        multi_positive_loss(A[:1], P[:1], **cfg)  # N < 2
     with pytest.raises(ValueError):
-        multi_positive_loss(A, np.zeros((2, 0, 4)), cfg=cfg)  # K = 0
+        multi_positive_loss(A, np.zeros((2, 0, 4)), **cfg)  # K = 0
     bad = A.copy()
     bad[0, 0] = float("nan")
     with pytest.raises(ValueError):
-        multi_positive_loss(bad, P, cfg=cfg)
+        multi_positive_loss(bad, P, **cfg)
     with pytest.raises(ValueError):
-        multi_positive_loss(A, P, unit_rows(rng, 3, 4), cfg)  # hard shape
+        multi_positive_loss(A, P, unit_rows(rng, 3, 4), **cfg)  # hard shape
     with pytest.raises(ValueError):
-        multi_positive_loss(A, P[:, :, :3], cfg=cfg)  # dim mismatch
+        multi_positive_loss(A, P[:, :, :3], **cfg)  # dim mismatch
     with pytest.raises(ValueError):
-        single_positive_loss(A, P, cfg)  # rank-3 positives
+        single_positive_loss(A, P, tau=1.0)  # rank-3 positives
     with pytest.raises(ValueError):
-        loss_oracle(A, unit_rows(rng, 2, 4), hard_negatives=A, cfg=cfg)
+        loss_oracle(A, unit_rows(rng, 2, 4), hard_negatives=A, tau=1.0)
     with pytest.raises(ValueError):
-        loss_oracle(A, P[None], cfg=cfg)  # rank 4
+        loss_oracle(A, P[None], **cfg)  # rank 4

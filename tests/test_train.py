@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from multipos.data import SentenceGroup, gen_cipher_corpus
+from multipos.data import DatasetMismatchError, SentenceGroup, gen_cipher_corpus
 from multipos.encoder import load_checkpoint
 from multipos.train import (
     NonFiniteLossError,
@@ -78,6 +78,9 @@ def test_config_defaults():
         {"hash_bits": 0},
         {"hash_bits": 25},
         {"dim": 0},
+        {"tau": float("inf")},
+        {"lr_warmup": float("inf")},
+        {"lr_main": float("inf")},
     ],
 )
 def test_config_validation(kw):
@@ -192,6 +195,24 @@ def test_dataset_mismatch_fails_before_any_step(tmp_path):
 
     with pytest.raises(ValueError, match="lacks hard negatives"):
         train(_small_cfg(use_hard_negatives=True), _groups(4))
+
+
+def test_dataset_mismatch_is_the_same_at_every_epoch():
+    # the same misfit at epoch 0 and at epoch 1 gives the same error
+    good = _groups(4)
+    for g in good:
+        g.hard_negatives = {"a": f"hn {g.id}"}
+    cases = [
+        (_small_cfg(k_positives=2, epochs=2), _groups(4, langs=("a", "b"))),
+        (_small_cfg(use_hard_negatives=True, epochs=2), _groups(4)),
+    ]
+    for cfg, bad in cases:
+        messages = []
+        for bad_epoch in (0, 1):
+            with pytest.raises(DatasetMismatchError) as info:
+                train(cfg, [], dataset_fn=lambda epoch: bad if epoch == bad_epoch else good)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def test_non_finite_loss_raises(monkeypatch):
