@@ -64,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_report(report: dict, out: str | None) -> list[str]:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -256,8 +256,8 @@ def _scorer(args, flags: tuple[str, ...], final: bool):
             return a, b, score
 
         pairs = _read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", scored_pair)
-        if len(pairs) < 2:
-            raise DataFormatError(f"{paths[0]}: need at least 2 scored pairs")
+        if len({gold for _, _, gold in pairs}) < 2:
+            raise DataFormatError(f"{paths[0]}: need at least 2 distinct gold scores")
         return lambda params: sts_eval(params, pairs, max_len=args.max_len)
 
     (train_labels, train_texts), (test_labels, test_texts) = (
@@ -300,6 +300,8 @@ def _cmd_eval(args) -> CommandOutcome:
         raise UsageError("give exactly one of --checkpoint or --checkpoint-dir")
     if args.max_len < 1:
         raise UsageError(f"--max-len must be at least 1, got {args.max_len}")
+    if args.threshold is not None and not np.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be finite, got {args.threshold}")
     report_flags, dev_flags = _EVAL_FLAGS[args.task]
     score = _scorer(args, report_flags, final=True)
     meta = {}
@@ -347,6 +349,7 @@ def _cmd_compare(args) -> CommandOutcome:
 
     groups = read_groups_jsonl(args.data)
     heldout = read_groups_jsonl(args.heldout)
+    check_fit(groups, base.k_positives, base.use_hard_negatives)  # the multiple arm's fit
     train_langs = sorted(groups[0].texts)
     heldout_langs = sorted(set(heldout[0].texts) - set(train_langs)) if heldout else []
     pivot = args.pivot or train_langs[0]

@@ -56,14 +56,16 @@ class PairRecord:
 
 @dataclass
 class TrainingBatch:
-    """Tokenized batch: N anchors, N x K positives, optional hard negatives."""
+    """Tokenized batch: N anchors, N x K positives, optional hard negatives.
+
+    Row i of each field comes from the same group; anchor_langs names
+    each anchor's language for error messages.
+    """
 
     anchors: list[list[int]]
     positives: list[list[list[int]]]
     anchor_langs: list[str]
-    positive_langs: list[list[str]]
     hard_negatives: list[list[int]] | None = None
-    hard_negative_langs: list[str] | None = None
 
     @property
     def size(self) -> int:
@@ -162,9 +164,12 @@ def pairs_to_groups(pairs: Sequence[PairRecord]) -> list[SentenceGroup]:
 def check_fit(groups: Sequence[SentenceGroup], k_positives: int, use_hard_negatives: bool) -> None:
     """Raise DatasetMismatchError unless every group can be batched.
 
-    A group needs an anchor plus k_positives other languages, and hard
-    negatives when use_hard_negatives is set.
+    There must be at least one group. A group needs an anchor plus
+    k_positives other languages, and hard negatives when
+    use_hard_negatives is set.
     """
+    if len(groups) == 0:
+        raise DatasetMismatchError("empty dataset: no groups to batch")
     for g in groups:
         if len(g.texts) < k_positives + 1:
             raise DatasetMismatchError(
@@ -205,7 +210,7 @@ def make_batches(
         return tokenize(text, max_len=max_len, hash_bits=hash_bits)
 
     def flush(chunk: list[int]) -> TrainingBatch:
-        anchors, positives, a_langs, p_langs, hns, hn_langs = [], [], [], [], [], []
+        anchors, positives, a_langs, hns = [], [], [], []
         for gi in chunk:
             g = groups[gi]
             langs = sorted(g.texts)
@@ -215,20 +220,11 @@ def make_batches(
             anchors.append(tok(g.texts[anchor]))
             a_langs.append(anchor)
             positives.append([tok(g.texts[l]) for l in picked])
-            p_langs.append(picked)
             if use_hard_negatives:
                 hn_options = sorted(g.hard_negatives)
                 hn = hn_options[int(rng.integers(len(hn_options)))]
                 hns.append(tok(g.hard_negatives[hn]))
-                hn_langs.append(hn)
-        return TrainingBatch(
-            anchors,
-            positives,
-            a_langs,
-            p_langs,
-            hns if use_hard_negatives else None,
-            hn_langs if use_hard_negatives else None,
-        )
+        return TrainingBatch(anchors, positives, a_langs, hns if use_hard_negatives else None)
 
     for start in range(0, len(order), batch_size):
         chunk = [int(i) for i in order[start : start + batch_size]]

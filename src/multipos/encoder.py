@@ -58,6 +58,8 @@ _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 CHECKPOINT_MAGIC = b"MPCL"
 CHECKPOINT_VERSION = 1
+# the largest table a config or a checkpoint may declare: 2**24 rows
+MAX_HASH_BITS = 24
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -432,10 +434,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
             )
-        # A corrupt header can declare any shape: check the size it implies
-        # before allocating anything.
-        if hash_bits >= 64:
-            raise CheckpointChecksumError(f"{path}: declared hash_bits {hash_bits} is out of range")
+        # A corrupt header can declare any shape: check the shape and the
+        # size it implies before allocating anything.
+        if not 1 <= hash_bits <= MAX_HASH_BITS or dim < 1:
+            raise CheckpointError(f"{path}: declared hash_bits {hash_bits}, dim {dim} out of range")
         table_shape = (1 << hash_bits, dim)
         proj_shape = (dim, dim)
         expected = header_size + 4 * 3 * (table_shape[0] * dim + dim * dim) + 4

@@ -18,8 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DatasetMismatchError, SentenceGroup, check_fit, make_batches
+from .data import SentenceGroup, check_fit, make_batches
 from .encoder import (
+    MAX_HASH_BITS,
     ModelParams,
     OptimizerState,
     ParamGrads,
@@ -78,8 +79,8 @@ class TrainConfig:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0.0:
             raise ValueError(f"max_grad_norm must be positive when set, got {self.max_grad_norm}")
-        if not (1 <= self.hash_bits <= 24):
-            raise ValueError(f"hash_bits must be in [1, 24], got {self.hash_bits}")
+        if not (1 <= self.hash_bits <= MAX_HASH_BITS):
+            raise ValueError(f"hash_bits must be in [1, {MAX_HASH_BITS}], got {self.hash_bits}")
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
 
@@ -139,20 +140,19 @@ class _FirstTouchOrder:
     """The table and both moments stored in the order batches first touch rows.
 
     Stored position p holds hashed row ids[p], and hashed row h sits at
-    pos[h]. Positions [0, admitted) hold every row a batch has touched,
+    pos[h]. Positions [0, opt.live) hold every row a batch has touched,
     so the moments are zero from there on and Adam's update runs on that
     prefix. Before a batch is encoded, its unseen rows swap places with
-    the untouched rows just past the prefix: both sides have zero
-    moments, so only table rows move. Each batch's swaps are disjoint
-    and are kept, so undoing them in reverse restores hashed order in
-    place, with no full-size copy.
+    the untouched rows just past the prefix, and opt.live grows to cover
+    them: both sides have zero moments, so only table rows move. Each
+    batch's swaps are disjoint and are kept, so undoing them in reverse
+    restores hashed order in place, with no full-size copy.
     """
 
     def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
         self.params, self.opt = params, opt
         self.pos = np.arange(len(params.embedding_table))
         self.ids = np.arange(len(params.embedding_table))
-        self.admitted = 0
         self.swaps: list[np.ndarray] = []  # per batch: a (2, n) array of positions
 
     def relabel(self, seqs: list[list[int]]) -> list[list[int]]:
@@ -160,22 +160,23 @@ class _FirstTouchOrder:
         lengths = list(map(len, seqs))
         hashed = np.fromiter(itertools.chain.from_iterable(seqs), np.intp, sum(lengths))
         at = self.pos[hashed]
+        live = self.opt.live
         # sorted unique by hand: np.unique imports numpy.ma, 1.6 MB of RSS
-        new = np.sort(at[at >= self.admitted])
+        new = np.sort(at[at >= live])
         first = np.ones(len(new), dtype=bool)
         first[1:] = new[1:] != new[:-1]
         new = new[first]
-        end = self.admitted + len(new)
+        end = live + len(new)
         inside = new < end
         free = np.ones(len(new), dtype=bool)
-        free[new[inside] - self.admitted] = False
-        pairs = np.stack((new[~inside], self.admitted + np.flatnonzero(free)))
+        free[new[inside] - live] = False
+        pairs = np.stack((new[~inside], live + np.flatnonzero(free)))
         if pairs.size:
             for a in (self.params.embedding_table, self.ids):
                 a[pairs] = a[pairs[::-1]]
             self.pos[self.ids[pairs]] = pairs
             self.swaps.append(pairs)
-        self.admitted = end
+        self.opt.live = end
         flat = self.pos[hashed].tolist()
         ends = itertools.accumulate(lengths)
         return [flat[e - n : e] for e, n in zip(ends, lengths)]
@@ -206,7 +207,7 @@ class _FirstTouchOrder:
     def restore(self) -> None:
         """Put the rows back in hashed order, with the optimizer's live row count there."""
         self._swap(undo=True)
-        self.opt.live = int(self.ids[: self.admitted].max(initial=-1)) + 1
+        self.opt.live = int(self.ids[: self.opt.live].max(initial=-1)) + 1
 
 
 @dataclass
@@ -248,9 +249,6 @@ def train(
     order or made to run in hashed order (the clip norm), so the bytes
     equal those of training in hashed order.
     """
-    if dataset_fn is None and len(groups) == 0:
-        raise DatasetMismatchError("empty dataset")
-
     def epoch_groups(epoch: int) -> Sequence[SentenceGroup]:
         return dataset_fn(epoch) if dataset_fn is not None else groups
 
@@ -302,18 +300,15 @@ def train(
                 pick_rng = np.random.default_rng([cfg.seed, 2, step])
                 picked = pick_rng.integers(k, size=n)
                 out = single_positive_loss(anchors, positives[np.arange(n), picked], tau=cfg.tau)
-                grad_rows[:n] = out.grad_anchor
-                pos_grads = np.zeros_like(positives)
-                pos_grads[np.arange(n), picked] = out.grad_positives
-                grad_rows[n : n + n * k] = pos_grads.reshape(n * k, cfg.dim)
+                grad_rows[n + np.arange(n) * k + picked] = out.grad_positives
             else:
                 out = multi_positive_loss(
                     anchors, positives, hard, tau=cfg.tau, normalization=cfg.normalization
                 )
-                grad_rows[:n] = out.grad_anchor
                 grad_rows[n : n + n * k] = out.grad_positives.reshape(n * k, cfg.dim)
                 if hard is not None:
                     grad_rows[n + n * k :] = out.grad_hard_negatives
+            grad_rows[:n] = out.grad_anchor
 
             if not math.isfinite(out.value):
                 raise NonFiniteLossError(

@@ -1,12 +1,17 @@
 import gc
 import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from multipos import cli
 from multipos.data import (
@@ -18,7 +23,14 @@ from multipos.data import (
     read_pairs_tsv,
     write_groups_jsonl,
 )
-from multipos.encoder import load_checkpoint
+from multipos.encoder import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    ModelParams,
+    OptimizerState,
+    load_checkpoint,
+    save_checkpoint,
+)
 from multipos.evaluation import (
     encode_texts,
     linear_probe,
@@ -86,6 +98,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "fit")]).exit_code == 1
     assert "usage error: config does not fit the dataset" in capsys.readouterr().err
 
+    # a file with no groups fits no config, in train and in compare
+    empty = _write(tmp_path / "empty.jsonl", "")
+    for argv in (
+        ["train", "--data", empty, "--out", str(tmp_path / "empty_run")],
+        ["compare", "--data", empty, "--heldout", data],
+    ):
+        assert cli.run(argv).exit_code == 1
+        assert "usage error: config does not fit the dataset: empty dataset" in capsys.readouterr().err
+
 
 def test_data_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.jsonl")
@@ -110,19 +131,6 @@ def test_numeric_errors_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure" in err and "usage error" not in err
     assert "Adam step 1 with lr 1e+38" in err  # the optimizer, not the loss a step later
-
-    data, _ = _groups_file(tmp_path)
-    cfg = _tiny_train_config(tmp_path)
-    run_dir = tmp_path / "run"
-    assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(run_dir)]).exit_code == 0
-
-    # constant gold scores make the rank correlation undefined
-    pairs = _write(tmp_path / "sts.tsv", "a b\tc d\t3.0\ne f\tg h\t3.0\nx y\tz w\t3.0\n")
-    out = cli.run(
-        ["eval", "--task", "sts", "--checkpoint", str(run_dir / "final.ckpt"), "--pairs", pairs]
-    )
-    assert out.exit_code == 3
-    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_synth_artifacts_and_determinism(tmp_path, capsys):
@@ -460,8 +468,76 @@ def test_eval_input_errors_exit_codes(epochs_run, tmp_path, capsys):
         assert cli.run([*ckpt, *argv]).exit_code == 2
         assert "data error" in capsys.readouterr().err
 
+    # one distinct gold score leaves the rank correlation undefined: the file
+    # cannot be scored, in the report and in dev selection
+    constant = _write(tmp_path / "constant.tsv", "a b\tc d\t3.0\ne f\tg h\t3.0\nx y\tz w\t3.0\n")
+    for argv in (
+        [*ckpt, "--task", "sts", "--pairs", constant],
+        ["eval", "--checkpoint-dir", str(run_dir), "--task", "sts", "--pairs", files["pairs"],
+         "--dev-pairs", constant],
+    ):
+        assert cli.run(argv).exit_code == 2
+        assert f"data error: {constant}: need at least 2 distinct gold scores" in capsys.readouterr().err
+
     assert cli.run([*ckpt, "--task", "sts", "--pairs", files["pairs"], "--max-len", "0"]).exit_code == 1
     assert "usage error" in capsys.readouterr().err
+
+    # a non-finite threshold would write a report that is not JSON
+    for threshold in ("nan", "inf", "-inf"):
+        out = cli.run([*ckpt, *mine, files["gold"], f"--threshold={threshold}"])
+        assert out.exit_code == 1
+        assert "usage error: --threshold must be finite" in capsys.readouterr().err
+
+
+def _crafted_checkpoint(hash_bits: int, dim: int, step: int) -> bytes:
+    """A header declaring any shape, with a valid CRC; the declared zero-filled
+    body comes along only when it is small."""
+    header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, hash_bits, dim, step)
+    body = b""
+    if hash_bits < 32 and 12 * ((1 << hash_bits) * dim + dim * dim) <= 1 << 16:
+        body = bytes(12 * ((1 << hash_bits) * dim + dim * dim))
+    return header + body + struct.pack("<I", zlib.crc32(header + body))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small valid checkpoint's bytes and a retrieval file to score with it."""
+    d = tmp_path_factory.mktemp("fuzz")
+    params = ModelParams(np.full((4, 2), 0.5, dtype=np.float32), np.eye(2, dtype=np.float32), 2, 2)
+    save_checkpoint(params, OptimizerState.fresh(params), str(d / "valid.ckpt"))
+    return d, (d / "valid.ckpt").read_bytes(), _write(d / "text.txt", "a b\nc d\ne\n")
+
+
+_U32 = st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1))
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.just("truncated"), st.integers(0, 1 << 20)),
+        st.tuples(st.just("flipped"), st.integers(0, 1 << 20)),
+        st.tuples(st.just("crafted"), _U32, _U32, _U32),
+    )
+)
+@example(case=("crafted", 4, 0, 0))
+@example(case=("crafted", 0, 4, 0))
+def test_eval_survives_damaged_checkpoints(fuzz_inputs, case):
+    # any file is scored (exit 0) or refused as a data error (exit 2): never
+    # a numeric failure, a usage error or an exception out of cli.run
+    d, valid, text = fuzz_inputs
+    kind, *values = case
+    if kind == "truncated":
+        blob = valid[: values[0] % len(valid)]
+    elif kind == "flipped":
+        bit = values[0] % (8 * len(valid))
+        blob = bytearray(valid)
+        blob[bit // 8] ^= 1 << (bit % 8)
+    else:
+        blob = _crafted_checkpoint(*values)
+    path = d / "damaged.ckpt"
+    path.write_bytes(bytes(blob))
+    argv = ["eval", "--task", "retrieval", "--checkpoint", str(path), "--src", text, "--tgt", text,
+            "--out", str(d / "report.json")]
+    assert cli.run(argv).exit_code in (0, 2)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

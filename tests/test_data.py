@@ -82,6 +82,11 @@ def _group(i: int, langs) -> SentenceGroup:
     return SentenceGroup(id=f"g{i}", texts={l: f"{l} text {i}" for l in langs})
 
 
+def _token_sources(groups) -> dict[tuple[int, ...], tuple[str, str]]:
+    """Each text's token ids mapped back to its (group id, language)."""
+    return {tuple(tokenize(t)): (g.id, lang) for g in groups for lang, t in g.texts.items()}
+
+
 def test_groups_to_pairs_covers_each_language_once():
     g = _group(0, ["l0", "l1", "l2", "l3", "l4", "l5"])
     conv = groups_to_pairs([g], rng_seed=0)
@@ -154,25 +159,32 @@ def test_make_batches_shapes_and_exactly_once():
     batches = list(make_batches(groups, batch_size=4, k_positives=2, rng_seed=0))
     assert [b.size for b in batches] == [4, 4, 2]
 
-    text_to_gid = {t: g.id for g in groups for t in g.texts.values()}
-    tok_to_gid = {tuple(tokenize(t)): gid for t, gid in text_to_gid.items()}
-    seen = [tok_to_gid[tuple(a)] for b in batches for a in b.anchors]
+    source = _token_sources(groups)
+    seen = [source[tuple(a)][0] for b in batches for a in b.anchors]
     assert sorted(seen) == sorted(g.id for g in groups)
 
     for b in batches:
         for i in range(b.size):
-            assert b.anchor_langs[i] not in b.positive_langs[i]
-            assert len(b.positives[i]) == 2
-            assert len(set(b.positive_langs[i])) == 2
+            gid, anchor_lang = source[tuple(b.anchors[i])]
+            assert anchor_lang == b.anchor_langs[i]
+            positives = [source[tuple(p)] for p in b.positives[i]]
+            assert len(positives) == 2
+            assert all(g == gid for g, _ in positives)
+            pos_langs = [lang for _, lang in positives]
+            assert anchor_lang not in pos_langs
+            assert len(set(pos_langs)) == 2
 
 
 def test_make_batches_forced_selection_and_tail_drop():
     groups = [_group(i, ["x", "y", "z"]) for i in range(9)]
     batches = list(make_batches(groups, batch_size=4, k_positives=2, rng_seed=5))
     assert [b.size for b in batches] == [4, 4]  # final single-group tail dropped
+    source = _token_sources(groups)
     for b in batches:
         for i in range(b.size):
-            assert sorted(b.positive_langs[i] + [b.anchor_langs[i]]) == ["x", "y", "z"]
+            rows = [source[tuple(ids)] for ids in [b.anchors[i], *b.positives[i]]]
+            assert len({gid for gid, _ in rows}) == 1
+            assert sorted(lang for _, lang in rows) == ["x", "y", "z"]
 
 
 def test_make_batches_determinism():
@@ -180,7 +192,7 @@ def test_make_batches_determinism():
 
     def snapshot(seed):
         return [
-            (b.anchors, b.positives, b.anchor_langs, b.positive_langs)
+            (b.anchors, b.positives, b.anchor_langs)
             for b in make_batches(groups, 4, 1, seed)
         ]
 
@@ -207,10 +219,10 @@ def test_make_batches_hard_negatives():
     by_anchor = {tuple(tokenize(t)): g for g in groups for t in g.texts.values()}
     (batch,) = make_batches(groups, 4, 1, rng_seed=3, use_hard_negatives=True)
     assert batch.hard_negatives is not None and len(batch.hard_negatives) == 4
-    for i, hn_lang in enumerate(batch.hard_negative_langs):
-        g = by_anchor[tuple(batch.anchors[i])]
-        assert hn_lang in g.hard_negatives
-        assert batch.hard_negatives[i] == tokenize(g.hard_negatives[hn_lang])
+    for anchor, hn in zip(batch.anchors, batch.hard_negatives):
+        g = by_anchor[tuple(anchor)]
+        # one of its own group's hard negatives, so in one of the group's languages
+        assert hn in [tokenize(t) for t in g.hard_negatives.values()]
 
 
 def test_make_batches_anchor_choice_spread():

@@ -506,10 +506,15 @@ def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(CheckpointChecksumError):
         load_checkpoint(str(bad))
 
-    # a 40-byte file declaring a 2^40-row table is refused before allocation
-    bad.write_bytes(blob[:4] + struct.pack("<IIII", 1, 40, 64, 0) + bytes(20))
-    with pytest.raises(CheckpointChecksumError):
-        load_checkpoint(str(bad))
+    # a header declaring a shape outside hash_bits [1, 24] and dim >= 1 is
+    # refused before allocation, as a bad header rather than a bad checksum:
+    # a 2^40-row table, an empty table and a zero dim, each with a valid CRC
+    for hash_bits, dim in ((40, 64), (0, 4), (4, 0)):
+        header = blob[:4] + struct.pack("<IIII", 1, hash_bits, dim, 0)
+        bad.write_bytes(header + struct.pack("<I", zlib.crc32(header)))
+        with pytest.raises(CheckpointError, match=f"hash_bits {hash_bits}, dim {dim} out") as info:
+            load_checkpoint(str(bad))
+        assert type(info.value) is CheckpointError
 
     with pytest.raises(OSError):
         load_checkpoint(str(tmp_path / "does-not-exist.ckpt"))

@@ -205,6 +205,7 @@ def test_dataset_mismatch_is_the_same_at_every_epoch():
     cases = [
         (_small_cfg(k_positives=2, epochs=2), _groups(4, langs=("a", "b"))),
         (_small_cfg(use_hard_negatives=True, epochs=2), _groups(4)),
+        (_small_cfg(epochs=2), []),
     ]
     for cfg, bad in cases:
         messages = []
