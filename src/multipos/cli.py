@@ -24,6 +24,7 @@ from .data import (
     DataFormatError,
     DatasetMismatchError,
     SentenceGroup,
+    TokenCache,
     assemble_groups,
     attach_hard_negatives,
     check_fit,
@@ -37,6 +38,7 @@ from .data import (
 )
 from .encoder import CheckpointError, load_checkpoint
 from .evaluation import (
+    ConstantSimilarityError,
     EvalReport,
     encode_texts,
     linear_probe,
@@ -197,11 +199,12 @@ _EVAL_FLAGS = {
 }
 
 
-def _scorer(args, flags: tuple[str, ...], final: bool):
+def _scorer(args, flags: tuple[str, ...], final: bool, tokens: TokenCache):
     """Check `flags`, read their files, and return params -> EvalReport.
 
     `final` scores the report: it applies --threshold and
-    --both-directions, which dev selection leaves out.
+    --both-directions, which dev selection leaves out. Texts are
+    tokenized through `tokens`.
     """
     missing = ["--" + f.replace("_", "-") for f in flags if not getattr(args, f)]
     if missing:
@@ -210,7 +213,7 @@ def _scorer(args, flags: tuple[str, ...], final: bool):
     paths = [getattr(args, f) for f in flags]
 
     def enc(params, texts):
-        return encode_texts(params, texts, args.max_len)
+        return encode_texts(params, texts, args.max_len, tokens)
 
     if args.task in ("retrieval", "mine"):
         src, tgt = _read_lines(paths[0]), _read_lines(paths[1])
@@ -258,7 +261,7 @@ def _scorer(args, flags: tuple[str, ...], final: bool):
         pairs = _read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", scored_pair)
         if len({gold for _, _, gold in pairs}) < 2:
             raise DataFormatError(f"{paths[0]}: need at least 2 distinct gold scores")
-        return lambda params: sts_eval(params, pairs, max_len=args.max_len)
+        return lambda params: sts_eval(params, pairs, max_len=args.max_len, tokens=tokens)
 
     (train_labels, train_texts), (test_labels, test_texts) = (
         zip(*_read_tsv(p, "label<TAB>text")) for p in paths
@@ -279,6 +282,16 @@ def _scorer(args, flags: tuple[str, ...], final: bool):
     return score
 
 
+def _score(score, params, path: str) -> EvalReport:
+    """score(params), naming the checkpoint at `path` when its model scores every STS pair alike."""
+    try:
+        return score(params)
+    except ConstantSimilarityError as exc:
+        raise ConstantSimilarityError(
+            f"checkpoint {path}: the model gives every pair the same similarity ({exc})"
+        ) from exc
+
+
 def _select(directory: str, score):
     """The first epoch checkpoint with the best dev score, its params, and every score."""
     paths = sorted(glob.glob(os.path.join(directory, "epoch_*.ckpt")))
@@ -288,7 +301,7 @@ def _select(directory: str, score):
     best_path, best_params, best_score = None, None, -np.inf
     for path in paths:
         params = load_checkpoint(path)[0]
-        scores[os.path.basename(path)] = s = score(params).overall
+        scores[os.path.basename(path)] = s = _score(score, params, path).overall
         if s > best_score:
             best_path, best_params, best_score = path, params, s
         del params  # hold at most the best table while the next one loads
@@ -303,15 +316,17 @@ def _cmd_eval(args) -> CommandOutcome:
     if args.threshold is not None and not np.isfinite(args.threshold):
         raise UsageError(f"--threshold must be finite, got {args.threshold}")
     report_flags, dev_flags = _EVAL_FLAGS[args.task]
-    score = _scorer(args, report_flags, final=True)
+    # one cache for every checkpoint, both directions and the report
+    tokens = TokenCache()
+    score = _scorer(args, report_flags, final=True, tokens=tokens)
     meta = {}
     if args.checkpoint:
         chosen, params = args.checkpoint, load_checkpoint(args.checkpoint)[0]
     else:
         chosen, params, meta["dev_scores"] = _select(
-            args.checkpoint_dir, _scorer(args, dev_flags, final=False)
+            args.checkpoint_dir, _scorer(args, dev_flags, final=False, tokens=tokens)
         )
-    report = score(params)
+    report = _score(score, params, chosen)
     report.metadata.update(meta, checkpoint=chosen)
     return CommandOutcome(0, _write_report(asdict(report), args.out))
 
@@ -357,9 +372,14 @@ def _cmd_compare(args) -> CommandOutcome:
     seen_texts = {lang: _group_texts(groups, lang) for lang in train_langs}
     held_texts = {lang: _group_texts(heldout, lang) for lang in heldout_langs}
     pivot_texts = _group_texts(heldout, pivot) if heldout_langs else []
+    # one cache for both arms' training and evaluations
+    tokens = TokenCache()
+
+    def enc(params, texts):
+        return encode_texts(params, texts, base.max_len, tokens)
 
     def evaluate(params) -> dict:
-        embs = {lang: encode_texts(params, seen_texts[lang], base.max_len) for lang in train_langs}
+        embs = {lang: enc(params, seen_texts[lang]) for lang in train_langs}
         accs = [
             retrieval_accuracy(embs[src], embs[tgt])
             for src in train_langs
@@ -371,10 +391,10 @@ def _cmd_compare(args) -> CommandOutcome:
             "seen_retrieval_min": float(np.min(accs)),
         }
         if heldout_langs:
-            pivot_embs = encode_texts(params, pivot_texts, base.max_len)
+            pivot_embs = enc(params, pivot_texts)
             held = {
                 f"heldout_retrieval_{lang}": retrieval_accuracy(
-                    encode_texts(params, held_texts[lang], base.max_len), pivot_embs
+                    enc(params, held_texts[lang]), pivot_embs
                 )
                 for lang in heldout_langs
             }
@@ -410,7 +430,7 @@ def _cmd_compare(args) -> CommandOutcome:
             ("single", replace(base, seed=seed, objective="single", k_positives=1), pairing(seed)),
         ):
             t0 = time.perf_counter()
-            params = train(cfg, groups, dataset_fn=dataset_fn).params
+            params = train(cfg, groups, dataset_fn=dataset_fn, tokens=tokens).params
             wall[name] += time.perf_counter() - t0
             arms[name]["runs"].append({"seed": seed, **evaluate(params)})
             del params  # the next arm trains with no other model alive
@@ -530,7 +550,7 @@ def run(argv: list[str]) -> CommandOutcome:
     except DatasetMismatchError as exc:
         print(f"usage error: config does not fit the dataset: {exc}", file=sys.stderr)
         return CommandOutcome(1)
-    except (DataFormatError, CheckpointError, OSError, UnicodeDecodeError) as exc:
+    except (DataFormatError, CheckpointError, ConstantSimilarityError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return CommandOutcome(2)
     except (FloatingPointError, ValueError) as exc:

@@ -11,6 +11,7 @@ provides desk-scale corpora with controllable seen/held-out languages.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,6 +30,37 @@ class DatasetMismatchError(ValueError):
     Too few languages for K positives, missing hard negatives, or no
     groups at all.
     """
+
+
+class TokenCache:
+    """`tokenize` that tokenizes each distinct text once per (max_len, hash_bits).
+
+    One cache serves one command: its epochs, its arms and its
+    evaluations. Per (max_len, hash_bits) it keeps one int32 array that
+    holds each text's id count followed by its ids, and a dict from
+    text to where that count sits: a fraction of the memory of a list
+    of Python ints, or of a bytes object, per text. Ids must fit in
+    int32 (hash_bits up to 31; the encoder stops at MAX_HASH_BITS). A
+    miss calls this module's `tokenize`. Every call returns a new list.
+    """
+
+    def __init__(self) -> None:
+        self._stores: dict[tuple[int, int], tuple[dict[str, int], array]] = {}
+
+    def __call__(self, text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
+        store = self._stores.get((max_len, hash_bits))
+        if store is None:
+            store = self._stores[max_len, hash_bits] = ({}, array("i"))
+        where, packed = store
+        at = where.get(text)
+        if at is not None:
+            return packed[at + 1 : at + 1 + packed[at]].tolist()
+        ids = tokenize(text, max_len=max_len, hash_bits=hash_bits)
+        at = len(packed)
+        packed.append(len(ids))
+        packed.extend(ids)
+        where[text] = at
+        return ids
 
 
 @dataclass
@@ -189,13 +221,15 @@ def make_batches(
     max_len: int = 64,
     hash_bits: int = 16,
     use_hard_negatives: bool = False,
+    tokens: TokenCache | None = None,
 ) -> Iterator[TrainingBatch]:
     """One epoch of tokenized batches in a seeded shuffled group order.
 
     Per group the anchor language is uniform and the K positive
     languages are sampled uniformly without replacement from the rest.
     A final batch smaller than 2 is dropped (no in-batch negatives).
-    Groups that fail check_fit raise DatasetMismatchError.
+    Groups that fail check_fit raise DatasetMismatchError. Texts are
+    tokenized through `tokens`, a fresh TokenCache when none is given.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be at least 2, got {batch_size}")
@@ -205,9 +239,11 @@ def make_batches(
 
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(groups))
+    if tokens is None:
+        tokens = TokenCache()
 
     def tok(text: str) -> list[int]:
-        return tokenize(text, max_len=max_len, hash_bits=hash_bits)
+        return tokens(text, max_len, hash_bits)
 
     def flush(chunk: list[int]) -> TrainingBatch:
         anchors, positives, a_langs, hns = [], [], [], []

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import ModelParams, encode, tokenize
+from .data import TokenCache
+from .encoder import ModelParams, encode
 
 # linear_probe's full-batch gradient descent: step count, rate, weight decay
 PROBE_ITERATIONS = 500
@@ -36,11 +37,15 @@ class MiningResult:
     threshold: float
 
 
-def encode_texts(params: ModelParams, texts: Sequence[str], max_len: int = 64) -> np.ndarray:
+def encode_texts(
+    params: ModelParams, texts: Sequence[str], max_len: int = 64, tokens: TokenCache | None = None
+) -> np.ndarray:
+    """Unit-norm embeddings of texts, tokenized through `tokens` (a fresh TokenCache by default)."""
     if len(texts) == 0:
         raise ValueError("no texts to encode")
-    ids = [tokenize(t, max_len=max_len, hash_bits=params.hash_bits) for t in texts]
-    return encode(params, ids)[0]
+    if tokens is None:
+        tokens = TokenCache()
+    return encode(params, [tokens(t, max_len, params.hash_bits) for t in texts])[0]
 
 
 def _check_rows(name: str, x: np.ndarray) -> np.ndarray:
@@ -146,16 +151,35 @@ def spearman(pred, gold) -> float:
     return float((rp @ rg) / math.sqrt(float(rp @ rp) * float(rg @ rg)))
 
 
-def sts_eval(params: ModelParams, pairs: Sequence[tuple[str, str, float]], max_len: int = 64) -> EvalReport:
-    """Spearman between encoded-pair cosines and gold similarity scores."""
+class ConstantSimilarityError(ValueError):
+    """The model gives every STS pair the same similarity, so no rank correlation exists."""
+
+
+def sts_eval(
+    params: ModelParams,
+    pairs: Sequence[tuple[str, str, float]],
+    max_len: int = 64,
+    tokens: TokenCache | None = None,
+) -> EvalReport:
+    """Spearman between encoded-pair cosines and gold similarity scores.
+
+    Raises ConstantSimilarityError when every predicted cosine is equal.
+    """
     if len(pairs) < 2:
         raise ValueError("need at least 2 scored pairs")
+    if tokens is None:
+        tokens = TokenCache()
     texts_a = [a for a, _, _ in pairs]
     texts_b = [b for _, b, _ in pairs]
     gold = [float(s) for _, _, s in pairs]
-    embs_a = encode_texts(params, texts_a, max_len=max_len)
-    embs_b = encode_texts(params, texts_b, max_len=max_len)
+    embs_a = encode_texts(params, texts_a, max_len=max_len, tokens=tokens)
+    embs_b = encode_texts(params, texts_b, max_len=max_len, tokens=tokens)
     preds = (embs_a * embs_b).sum(axis=1)
+    if (preds == preds[0]).all():
+        raise ConstantSimilarityError(
+            f"every predicted similarity is {float(preds[0])!r}: "
+            "rank correlation undefined for a constant vector"
+        )
     rho = spearman(preds, gold)
     return EvalReport(task="sts", overall=rho, metadata={"pairs": len(pairs)})
 

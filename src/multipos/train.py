@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import SentenceGroup, check_fit, make_batches
+from .data import SentenceGroup, TokenCache, check_fit, make_batches
 from .encoder import (
     MAX_HASH_BITS,
     ModelParams,
@@ -234,13 +234,16 @@ def train(
     groups: Sequence[SentenceGroup],
     out_dir: str | None = None,
     dataset_fn: Callable[[int], Sequence[SentenceGroup]] | None = None,
+    tokens: TokenCache | None = None,
 ) -> TrainResult:
     """Run the full schedule over the dataset from fresh parameters.
 
     Saves a checkpoint per epoch end plus a final one when out_dir is
     given. dataset_fn, when set, supplies the groups for each epoch
     (the single arm's pairings); otherwise the static dataset is
-    reused every epoch.
+    reused every epoch. Every epoch tokenizes through `tokens`, a
+    fresh TokenCache for the run when none is given, so each distinct
+    text is tokenized once.
 
     While training, the table and both moments are stored in the order
     batches first touch their rows (_FirstTouchOrder), so Adam runs on a
@@ -257,6 +260,8 @@ def train(
     probe = epoch_groups(0)
     check_fit(probe, cfg.k_positives, cfg.use_hard_negatives)
 
+    if tokens is None:
+        tokens = TokenCache()
     params = init_params(cfg, cfg.seed)
     opt = OptimizerState.fresh(params)
     order = _FirstTouchOrder(params, opt)
@@ -281,6 +286,7 @@ def train(
             max_len=cfg.max_len,
             hash_bits=cfg.hash_bits,
             use_hard_negatives=cfg.use_hard_negatives,
+            tokens=tokens,
         ):
             phase, objective, lr = schedule(step, cfg)
             n = batch.size

@@ -549,6 +549,36 @@ def test_eval_sts_non_finite_gold_is_data_error(epochs_run, tmp_path, capsys, ba
     assert f"data error: {pairs}:2: gold score '{bad}' is not finite" in capsys.readouterr().err
 
 
+def test_eval_tokenizes_each_input_line_once(epochs_run, tokenized, tmp_path):
+    # four epoch checkpoints, both directions and the report share one cache
+    run_dir, files = epochs_run
+    flags = ("src", "tgt", "dev_src", "dev_tgt")
+    out = cli.run(["eval", "--task", "retrieval", "--checkpoint-dir", str(run_dir), "--both-directions",
+                   *_flag_args(files, flags), "--out", str(tmp_path / "report.json")])
+    assert out.exit_code == 0
+    lines = [line for flag in flags for line in _lines(files[flag])]
+    assert len(set(lines)) == len(lines)
+    assert sorted(tokenized) == sorted(lines)
+
+
+@pytest.mark.parametrize("mode", ["checkpoint", "checkpoint-dir"])
+def test_eval_sts_of_a_constant_model_is_data_error(epochs_run, tmp_path, capsys, mode):
+    # an all-zero table and projection encode every sentence to the same row
+    run_dir, files = epochs_run
+    zero = tmp_path / "epoch_0002.ckpt"
+    zero.write_bytes(_crafted_checkpoint(4, 2, 0))
+    if mode == "checkpoint":
+        source = ["--checkpoint", str(zero)]
+    else:  # a valid first epoch, then the constant one
+        (tmp_path / "epoch_0001.ckpt").write_bytes((run_dir / "epoch_0001.ckpt").read_bytes())
+        source = ["--checkpoint-dir", str(tmp_path), "--dev-pairs", files["dev_pairs"]]
+    out = cli.run(["eval", "--task", "sts", *source, "--pairs", files["pairs"]])
+    assert out.exit_code == 2
+    err = capsys.readouterr().err
+    assert f"data error: checkpoint {zero}: the model gives every pair the same similarity" in err
+    assert "numeric failure" not in err
+
+
 def _synth_corpus(tmp_path):
     out_dir = tmp_path / "corpus"
     assert cli.run(["synth", "--concepts", "30", "--langs", "4", "--sentence-len", "5",
@@ -654,6 +684,16 @@ def test_compare_encodes_the_pivot_once_per_evaluation(tmp_path, monkeypatch):
     for arm in report["arms"].values():
         run = arm["runs"][0]
         assert run["heldout_retrieval"] == (run["heldout_retrieval_h0"] + run["heldout_retrieval_h1"]) / 2
+
+
+def test_compare_tokenizes_each_sentence_once(tmp_path, tokenized):
+    # both arms train and are evaluated on one cache
+    data, heldout = _synth_corpus(tmp_path)
+    out = cli.run(["compare", "--data", data, "--heldout", heldout, "--config", _compare_config(tmp_path),
+                   "--seeds", "1", "--epochs", "1", "--out", str(tmp_path / "report.json")])
+    assert out.exit_code == 0
+    texts = {t for path in (data, heldout) for g in read_groups_jsonl(path) for t in g.texts.values()}
+    assert sorted(tokenized) == sorted(texts)
 
 
 def test_compare_fixed_pairs_and_byte_identical_reports(tmp_path):

@@ -9,6 +9,7 @@ from multipos.data import (
     DataFormatError,
     PairRecord,
     SentenceGroup,
+    TokenCache,
     assemble_groups,
     attach_hard_negatives,
     gen_cipher_corpus,
@@ -198,6 +199,27 @@ def test_make_batches_determinism():
 
     assert snapshot(7) == snapshot(7)
     assert snapshot(7) != snapshot(8)
+
+
+@given(
+    text=st.text(),
+    max_len=st.integers(1, 80),
+    hash_bits=st.integers(1, 24),
+    other_bits=st.integers(1, 24),
+)
+def test_token_cache_returns_tokenize_ids(text, max_len, hash_bits, other_bits):
+    cache = TokenCache()
+    want = tokenize(text, max_len, hash_bits)
+    first = cache(text, max_len, hash_bits)
+    assert first == want
+    first.append(-1)  # a caller's edit must not reach the next lookup
+    again = cache(text, max_len, hash_bits)
+    assert again == want and again is not first
+    again.clear()
+    assert cache(text, max_len, hash_bits) == want
+    # one text under two hash widths keeps each width's own ids
+    assert cache(text, max_len, other_bits) == tokenize(text, max_len, other_bits)
+    assert cache(text, max_len, hash_bits) == want
 
 
 def test_make_batches_validation_names_group():

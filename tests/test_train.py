@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from multipos.data import DatasetMismatchError, SentenceGroup, gen_cipher_corpus
+from multipos.data import DatasetMismatchError, SentenceGroup, TokenCache, gen_cipher_corpus
 from multipos.encoder import load_checkpoint
 from multipos.train import (
     NonFiniteLossError,
@@ -241,6 +241,27 @@ def test_dataset_fn_supplies_each_epoch():
     res = train(_small_cfg(epochs=3), [], dataset_fn=per_epoch)
     assert calls == [0, 1, 2]
     assert len(res.records) == 3
+
+
+def test_training_tokenizes_each_distinct_text_once(tokenized):
+    groups = _groups(10)
+    # K=2 of 3 languages and batches of 4, 4 and 2: every text is used in every epoch
+    res = train(_small_cfg(epochs=3, k_positives=2), groups)
+    assert len(res.records) == 9
+    assert sorted(tokenized) == sorted(t for g in groups for t in g.texts.values())
+
+
+def test_a_cache_warmed_at_another_hash_width_leaves_checkpoints_unchanged(tmp_path):
+    groups = _groups(10)
+    cfg = _small_cfg(epochs=2, k_positives=2)
+    warm = TokenCache()
+    for g in groups:
+        for text in g.texts.values():
+            warm(text, cfg.max_len, cfg.hash_bits + 1)
+    train(cfg, groups, out_dir=str(tmp_path / "plain"))
+    train(cfg, groups, out_dir=str(tmp_path / "warm"), tokens=warm)
+    for name in ("epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_step_clock_includes_batch_building(monkeypatch):
