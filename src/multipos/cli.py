@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -63,6 +62,13 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract wants 1.
     def error(self, message: str):
         raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """The type of every seed flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _write_report(report: dict, out: str | None) -> list[str]:
@@ -171,7 +177,7 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
     try:
         cfg = load_config(args.config) if args.config else default
         return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
 
 
@@ -338,17 +344,6 @@ def _group_texts(groups: list[SentenceGroup], lang: str) -> list[str]:
     return [g.texts[lang] for g in groups]
 
 
-def _check_pair_conservation(groups, pair_groups, dropped: int) -> None:
-    """Pair conversion must preserve the sentence multiset (minus reported drops)."""
-    before = Counter(t for g in groups for t in g.texts.values())
-    after = Counter(t for g in pair_groups for t in g.texts.values())
-    missing = sum((before - after).values())
-    if missing != dropped or sum((after - before).values()) != 0:
-        raise DataFormatError(
-            f"pair conversion lost {missing} sentences but reported {dropped} drops"
-        )
-
-
 def _cmd_compare(args) -> CommandOutcome:
     # Desk-scale recipe: tau=1.0 keeps both objectives in their informative
     # regime (min-max output and raw cosine then share the range [-1, 1]),
@@ -364,10 +359,32 @@ def _cmd_compare(args) -> CommandOutcome:
 
     groups = read_groups_jsonl(args.data)
     heldout = read_groups_jsonl(args.heldout)
-    check_fit(groups, base.k_positives, base.use_hard_negatives)  # the multiple arm's fit
+
+    def arms_for(seed: int):
+        # each arm's name, config and groups per epoch; the single arm trains
+        # on a fresh random matching per epoch, or epoch 0's under --fixed-pairs
+        def pairs(epoch: int):
+            return pairs_to_groups(groups_to_pairs(groups, [seed, 3, epoch]).pairs)
+
+        fixed = pairs(0) if args.fixed_pairs else None
+        return (
+            ("multiple", replace(base, seed=seed, objective="multi"), lambda epoch: groups),
+            ("single", replace(base, seed=seed, objective="single", k_positives=1),
+             pairs if fixed is None else lambda epoch: fixed),
+        )
+
+    # Both arms must fit before either trains, the multiple arm first. Every
+    # epoch's pairing has two languages per group and no hard negatives, so
+    # epoch 0's stands for all of them.
+    for _, cfg, groups_at in arms_for(args.seed):
+        check_fit(groups_at(0), cfg.k_positives, cfg.use_hard_negatives)
     train_langs = sorted(groups[0].texts)
     heldout_langs = sorted(set(heldout[0].texts) - set(train_langs)) if heldout else []
     pivot = args.pivot or train_langs[0]
+    if pivot not in train_langs:
+        raise UsageError(
+            f"--pivot must be a seen language of --data ({', '.join(train_langs)}), got {pivot!r}"
+        )
 
     seen_texts = {lang: _group_texts(groups, lang) for lang in train_langs}
     held_texts = {lang: _group_texts(heldout, lang) for lang in heldout_langs}
@@ -402,35 +419,12 @@ def _cmd_compare(args) -> CommandOutcome:
         return out
 
     seeds = [args.seed + i for i in range(args.seeds)]
-    conv = groups_to_pairs(groups, [args.seed, 3, 0])
-    pair_groups = pairs_to_groups(conv.pairs)
-    _check_pair_conservation(groups, pair_groups, conv.dropped_sentences)
-    # The single arm's fit, checked before any arm trains: every epoch's
-    # pairing has two languages per group and no hard negatives, so epoch 0's
-    # stands for all of them.
-    check_fit(pair_groups, 1, base.use_hard_negatives)
-    del conv, pair_groups  # not needed while the arms train
-
-    def pairing(seed: int):
-        # a fresh random matching per epoch, or epoch 0's throughout under
-        # --fixed-pairs; each sentence still appears once
-        def pairs(epoch: int):
-            return pairs_to_groups(groups_to_pairs(groups, [seed, 3, epoch]).pairs)
-
-        if args.fixed_pairs:
-            fixed = pairs(0)
-            return lambda epoch: fixed
-        return pairs
-
     arms: dict[str, dict] = {"multiple": {"runs": []}, "single": {"runs": []}}
     wall = {"multiple": 0.0, "single": 0.0}
     for seed in seeds:
-        for name, cfg, dataset_fn in (
-            ("multiple", replace(base, seed=seed, objective="multi"), None),
-            ("single", replace(base, seed=seed, objective="single", k_positives=1), pairing(seed)),
-        ):
+        for name, cfg, groups_at in arms_for(seed):
             t0 = time.perf_counter()
-            params = train(cfg, groups, dataset_fn=dataset_fn, tokens=tokens).params
+            params = train(cfg, groups, dataset_fn=groups_at, tokens=tokens).params
             wall[name] += time.perf_counter() - t0
             arms[name]["runs"].append({"seed": seed, **evaluate(params)})
             del params  # the next arm trains with no other model alive
@@ -465,7 +459,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("to-pairs", help="flatten a grouped dataset to a pair TSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_to_pairs)
 
@@ -481,14 +475,14 @@ def build_parser() -> _Parser:
         default=0.5,
         help="fraction of each held-out language's vocabulary never seen in training",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train on a grouped dataset")
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -505,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", default=None)
     p.add_argument("--train-file", default=None)
     p.add_argument("--test-file", default=None)
-    p.add_argument("--probe-seed", type=int, default=0)
+    p.add_argument("--probe-seed", type=_seed, default=0)
     p.add_argument("--dev-src", default=None)
     p.add_argument("--dev-tgt", default=None)
     p.add_argument("--dev-gold", default=None)
@@ -519,7 +513,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heldout", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds per arm")
-    p.add_argument("--seed", type=int, default=0, help="first seed")
+    p.add_argument("--seed", type=_seed, default=0, help="first seed")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--k", type=int, default=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -32,6 +33,17 @@ from .encoder import (
 from .losses import NORMALIZATIONS, multi_positive_loss, single_positive_loss
 
 OBJECTIVES = ("single", "multi")
+
+
+# The values a TrainConfig field of each annotation takes. A bool is an
+# int to Python, so only a bool field takes one.
+_FIELD_TYPES = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "float | None": (numbers.Real, type(None)),
+    "bool": bool,
+    "str": str,
+}
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -58,6 +70,11 @@ class TrainConfig:
     dim: int = 64
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_bool = isinstance(value, bool)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or is_bool != (f.type == "bool"):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
         if self.max_len < 1:
@@ -73,6 +90,8 @@ class TrainConfig:
             raise ValueError(f"k_positives must be at least 1, got {self.k_positives}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.normalization not in NORMALIZATIONS:

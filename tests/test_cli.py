@@ -6,6 +6,7 @@ import subprocess
 import sys
 import weakref
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from multipos import cli
 from multipos.data import (
-    DataFormatError,
     SentenceGroup,
     attach_hard_negatives,
     gen_cipher_corpus,
@@ -85,13 +85,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path / "unknown.json", '{"batch_sizes": 4}')
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "r")]).exit_code == 1
 
-    # 1e999 parses as inf: a non-finite setting is a bad config, not a numeric failure
+    # 1e999 parses as inf: a non-finite setting is a bad config, not a numeric failure;
+    # so is an integer too large for a float
     capsys.readouterr()
     for key in ("tau", "lr_main"):
-        cfg = _write(tmp_path / "inf.json", f'{{"{key}": 1e999}}')
-        out = cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "inf")])
-        assert out.exit_code == 1
-        assert "usage error: bad config" in capsys.readouterr().err
+        for value in ("1e999", "1" + "0" * 400):
+            cfg = _write(tmp_path / "inf.json", f'{{"{key}": {value}}}')
+            out = cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "inf")])
+            assert out.exit_code == 1
+            assert "usage error: bad config" in capsys.readouterr().err
 
     # the dataset-fit check runs before step 0: 3 languages cannot give an anchor and 3 positives
     cfg = _tiny_train_config(tmp_path, k_positives=3)
@@ -106,6 +108,28 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ):
         assert cli.run(argv).exit_code == 1
         assert "usage error: config does not fit the dataset: empty dataset" in capsys.readouterr().err
+
+    # a config value of the wrong type, or a negative seed, is a bad config before any step
+    for key, value in (("batch_size", 4.5), ("epochs", 1.0), ("hash_bits", 8.0), ("max_len", 2.5),
+                       ("seed", 1.5), ("k_positives", True), ("warmup_enabled", "no"), ("seed", -1)):
+        cfg = _tiny_train_config(tmp_path, **{key: value})
+        out = cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "typed")])
+        assert out.exit_code == 1, key
+        assert "usage error: bad config" in capsys.readouterr().err
+    assert not (tmp_path / "typed").exists()
+
+    # every seed flag takes a non-negative integer, checked before any file is read
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["synth", "--seed", "-1", "--out", missing],
+        ["to-pairs", "--data", missing, "--seed", "-1", "--out", missing],
+        ["train", "--data", missing, "--seed", "-1", "--out", missing],
+        ["compare", "--data", missing, "--heldout", missing, "--seed", "-1"],
+        ["eval", "--task", "sts", "--checkpoint", missing, "--pairs", missing, "--probe-seed", "-2"],
+    ):
+        assert cli.run(argv).exit_code == 1, argv
+        assert "expected a non-negative integer, got '-" in capsys.readouterr().err
+    assert not os.path.exists(missing)
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -658,6 +682,69 @@ def test_compare_checks_the_single_arm_fit_before_training(tmp_path, monkeypatch
     assert calls == []
 
 
+def test_compare_pivot_must_be_a_seen_language(tmp_path, monkeypatch, capsys):
+    data, heldout = _synth_corpus(tmp_path)
+    cfg = _compare_config(tmp_path)
+    calls = []
+    real = cli.train
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    # the held-out language would be retrieved against itself
+    for pivot in ("h0", "zz"):
+        out = cli.run(["compare", "--data", data, "--heldout", heldout, "--config", cfg, "--pivot", pivot])
+        assert out.exit_code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: --pivot must be a seen language of --data (l0, l1, l2, l3), got {pivot!r}" in err
+    # a seen pivot the held-out file lacks is a data error
+    lacking = [
+        SentenceGroup(id=g.id, texts={lang: g.texts[lang] for lang in ("h0", "l0")})
+        for g in read_groups_jsonl(heldout)
+    ]
+    write_groups_jsonl(lacking, str(tmp_path / "lacking.jsonl"))
+    out = cli.run(["compare", "--data", data, "--heldout", str(tmp_path / "lacking.jsonl"), "--config", cfg,
+                   "--pivot", "l1"])
+    assert out.exit_code == 2
+    assert "data error: language 'l1' missing from groups" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_compare_single_arm_trains_on_each_sentence_at_most_once(tmp_path, monkeypatch, fixed):
+    # 5 languages: every group's matching leaves one sentence out
+    corpus = tmp_path / "corpus"
+    assert cli.run(["synth", "--concepts", "24", "--langs", "5", "--sentence-len", "5", "--seed", "2",
+                    "--out", str(corpus)]).exit_code == 0
+    groups = read_groups_jsonl(str(corpus / "groups.jsonl"))
+    owner = {(lang, text): g.id for g in groups for lang, text in g.texts.items()}
+    assert len(owner) == 5 * len(groups)  # a language and a text name one sentence
+    real = cli.train
+    used = []  # (epoch, the single arm's groups), as training asked for them
+
+    def captured(cfg, data, dataset_fn=None, **kwargs):
+        if cfg.objective == "single":
+            def recorded(epoch):
+                used.append((epoch, dataset_fn(epoch)))
+                return used[-1][1]
+
+            return real(cfg, data, dataset_fn=recorded, **kwargs)
+        return real(cfg, data, dataset_fn=dataset_fn, **kwargs)
+
+    monkeypatch.setattr(cli, "train", captured)
+    argv = ["compare", "--data", str(corpus / "groups.jsonl"), "--heldout", str(corpus / "heldout.jsonl"),
+            "--config", _compare_config(tmp_path), "--k", "2", "--epochs", "3", "--seeds", "1",
+            "--out", str(tmp_path / "report.json")]
+    assert cli.run(argv + ["--fixed-pairs"] * fixed).exit_code == 0
+    assert [epoch for epoch, _ in used] == [0, 1, 2]
+    for epoch, pair_groups in used:
+        kept = Counter((lang, text) for g in pair_groups for lang, text in g.texts.items())
+        assert all(len(g.texts) == 2 for g in pair_groups)
+        assert set(kept) <= set(owner), epoch  # no foreign text
+        assert max(kept.values()) == 1, epoch  # each sentence at most once
+        dropped = Counter(owner[s] for s in set(owner) - set(kept))
+        assert dropped == {g.id: 1 for g in groups}, epoch  # one sentence per group
+    matchings = [sorted(tuple(sorted(g.texts)) for g in pair_groups) for _, pair_groups in used]
+    assert (matchings[1] == matchings[0]) == fixed
+
+
 def test_compare_encodes_the_pivot_once_per_evaluation(tmp_path, monkeypatch):
     train_groups, eval_groups = gen_cipher_corpus(30, 5, 4, 2, 150, 1)
     data, heldout = str(tmp_path / "groups.jsonl"), str(tmp_path / "heldout.jsonl")
@@ -727,15 +814,6 @@ def test_compare_keeps_one_arm_model_alive(tmp_path, monkeypatch):
     assert out.exit_code == 0
     # two seeds, two arms each; no earlier arm's model outlives its evaluation
     assert alive_at_start == [0, 0, 0, 0]
-
-
-def test_pair_conservation_guard():
-    groups = [SentenceGroup(id="g", texts={"a": "x", "b": "y"})]
-    ok = [SentenceGroup(id="p", texts={"a": "x", "b": "y"})]
-    cli._check_pair_conservation(groups, ok, 0)
-    broken = [SentenceGroup(id="p", texts={"a": "x", "b": "DIFFERENT"})]
-    with pytest.raises(DataFormatError):
-        cli._check_pair_conservation(groups, broken, 0)
 
 
 def test_train_leaves_numpy_ma_unimported(tmp_path):

@@ -144,6 +144,11 @@ def test_groups_to_pairs_conserves_sentences(lang_counts, seed):
     assert conv.dropped_sentences == sum(1 for n in lang_counts if n % 2 == 1)
     allowed = {(l, g.texts[l]) for g in groups for l in g.texts}
     assert set(got) <= allowed
+    # as groups for the single-positive arm: two languages each, the same sentences
+    pair_groups = pairs_to_groups(conv.pairs)
+    assert len({g.id for g in pair_groups}) == len(conv.pairs)
+    assert all(len(g.texts) == 2 and not g.hard_negatives for g in pair_groups)
+    assert Counter((l, t) for g in pair_groups for l, t in g.texts.items()) == got
 
 
 def test_pairs_to_groups_round_trip():

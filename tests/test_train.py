@@ -81,6 +81,18 @@ def test_config_defaults():
         {"tau": float("inf")},
         {"lr_warmup": float("inf")},
         {"lr_main": float("inf")},
+        {"batch_size": 4.5},
+        {"epochs": 1.0},
+        {"hash_bits": 8.0},
+        {"max_len": 2.5},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"k_positives": True},
+        {"warmup_enabled": "no"},
+        {"use_hard_negatives": 1},
+        {"tau": True},
+        {"max_grad_norm": "1"},
+        {"dim": 16.0},
     ],
 )
 def test_config_validation(kw):
@@ -94,6 +106,8 @@ def test_load_config(tmp_path):
     path.write_text(json.dumps({"tau": 0.2, "epochs": 3}), encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.tau == 0.2 and cfg.epochs == 3 and cfg.batch_size == 128
+    # a float setting takes an int, and max_grad_norm null
+    assert load_config({"tau": 1, "lr_main": 6e-3, "max_grad_norm": None}).tau == 1
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config({"batch_sizes": 16})
     path.write_text("[1, 2]", encoding="utf-8")
