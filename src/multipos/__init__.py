@@ -1,4 +1,21 @@
-"""Multi-positive contrastive sentence embeddings, desk scale."""
+"""Multi-positive contrastive sentence embeddings, desk scale.
+
+Importing the package first runs BLAS on one thread: before the first
+submodule loads numpy, each of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS that is unset is set to "1". A step's matrix
+products are small, and a second BLAS thread only spins beside the
+first: it adds CPU time and saves no wall time. A value already in the
+environment is kept, and a process that imported numpy before this
+package keeps the threading numpy started with. Child processes inherit
+the setting.
+"""
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
 
 from .data import (
     PairRecord,

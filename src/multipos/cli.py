@@ -10,6 +10,7 @@ byte-identical artifacts; wall-clock times appear only in train logs.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -182,6 +183,12 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
 
 
 def _cmd_train(args) -> CommandOutcome:
+    # A new run beside an old one's checkpoints would leave epochs of both,
+    # and eval --checkpoint-dir would choose among them.
+    out = glob.escape(args.out)
+    stale = sorted(glob.glob(os.path.join(out, "epoch_*.ckpt")) + glob.glob(os.path.join(out, "final.ckpt")))
+    if stale:
+        raise UsageError(f"--out {args.out} already holds checkpoints ({stale[0]}); give a new directory")
     cfg = _train_config(args, TrainConfig(), seed=args.seed)
     result = train(cfg, read_groups_jsonl(args.data), out_dir=args.out)
     log_path = os.path.join(args.out, "log.jsonl")
@@ -362,21 +369,23 @@ def _cmd_compare(args) -> CommandOutcome:
 
     def arms_for(seed: int):
         # each arm's name, config and groups per epoch; the single arm trains
-        # on a fresh random matching per epoch, or epoch 0's under --fixed-pairs
+        # on a fresh random matching per epoch, or epoch 0's under --fixed-pairs.
+        # The last matching built is kept, so asking twice builds it once.
+        @functools.lru_cache(maxsize=1)
         def pairs(epoch: int):
             return pairs_to_groups(groups_to_pairs(groups, [seed, 3, epoch]).pairs)
 
-        fixed = pairs(0) if args.fixed_pairs else None
         return (
             ("multiple", replace(base, seed=seed, objective="multi"), lambda epoch: groups),
             ("single", replace(base, seed=seed, objective="single", k_positives=1),
-             pairs if fixed is None else lambda epoch: fixed),
+             (lambda epoch: pairs(0)) if args.fixed_pairs else pairs),
         )
 
     # Both arms must fit before either trains, the multiple arm first. Every
     # epoch's pairing has two languages per group and no hard negatives, so
-    # epoch 0's stands for all of them.
-    for _, cfg, groups_at in arms_for(args.seed):
+    # epoch 0's stands for all of them; the first seed trains on these arms.
+    first_arms = arms_for(args.seed)
+    for _, cfg, groups_at in first_arms:
         check_fit(groups_at(0), cfg.k_positives, cfg.use_hard_negatives)
     train_langs = sorted(groups[0].texts)
     heldout_langs = sorted(set(heldout[0].texts) - set(train_langs)) if heldout else []
@@ -422,7 +431,7 @@ def _cmd_compare(args) -> CommandOutcome:
     arms: dict[str, dict] = {"multiple": {"runs": []}, "single": {"runs": []}}
     wall = {"multiple": 0.0, "single": 0.0}
     for seed in seeds:
-        for name, cfg, groups_at in arms_for(seed):
+        for name, cfg, groups_at in first_arms if seed == args.seed else arms_for(seed):
             t0 = time.perf_counter()
             params = train(cfg, groups, dataset_fn=groups_at, tokens=tokens).params
             wall[name] += time.perf_counter() - t0

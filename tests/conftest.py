@@ -1,9 +1,6 @@
-import os
-
-# Single-threaded BLAS keeps the runtime bounds meaningful on one core
-# and must be pinned before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# The package pins BLAS to one thread when it loads before numpy, which
+# keeps the runtime bounds meaningful on one core; import it first.
+import multipos  # noqa: F401
 
 import pytest
 from hypothesis import HealthCheck, settings

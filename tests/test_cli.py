@@ -233,6 +233,37 @@ def test_train_artifacts(tmp_path):
     assert (other / "final.ckpt").read_bytes() != (run_dir / "final.ckpt").read_bytes()
 
 
+def test_train_refuses_an_out_that_holds_checkpoints(tmp_path, capsys):
+    data, _ = _groups_file(tmp_path)
+    run_dir = tmp_path / "run"
+    cfg = _tiny_train_config(tmp_path, epochs=4)
+    assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(run_dir)]).exit_code == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    cfg = _tiny_train_config(tmp_path, epochs=1)
+    capsys.readouterr()
+
+    def retrain(data_path):
+        argv = ["train", "--config", cfg, "--data", data_path, "--seed", "5", "--out", str(run_dir)]
+        return cli.run(argv).exit_code, capsys.readouterr().err
+
+    # a shorter run would leave epochs 2-4 of this one beside its own files;
+    # the check runs before --data is read, so a missing file still exits 1
+    for data_path in (data, str(tmp_path / "missing.jsonl")):
+        code, err = retrain(data_path)
+        assert code == 1
+        assert f"already holds checkpoints ({run_dir / 'epoch_0001.ckpt'})" in err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    for name in ("epoch_0001.ckpt", "epoch_0002.ckpt", "epoch_0003.ckpt", "epoch_0004.ckpt"):
+        (run_dir / name).unlink()
+    code, err = retrain(data)
+    assert code == 1
+    assert f"already holds checkpoints ({run_dir / 'final.ckpt'})" in err
+    # a directory without checkpoints is fine
+    (run_dir / "final.ckpt").unlink()
+    assert retrain(data)[0] == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["epoch_0001.ckpt", "final.ckpt", "log.jsonl"]
+
+
 @pytest.fixture()
 def trained(tmp_path):
     data, groups = _groups_file(tmp_path, n=8, langs=("a", "b", "c"))
@@ -745,6 +776,32 @@ def test_compare_single_arm_trains_on_each_sentence_at_most_once(tmp_path, monke
     assert (matchings[1] == matchings[0]) == fixed
 
 
+@pytest.mark.parametrize("fixed", [False, True])
+def test_compare_builds_each_pairing_once(tmp_path, monkeypatch, fixed):
+    data, heldout = _synth_corpus(tmp_path)
+    real_pairs, real_groups = cli.groups_to_pairs, cli.pairs_to_groups
+    calls = []
+
+    def pairs(groups, rng_seed):
+        calls.append(("groups_to_pairs", list(rng_seed)))
+        return real_pairs(groups, rng_seed)
+
+    def regroup(pair_records):
+        calls.append(("pairs_to_groups", None))
+        return real_groups(pair_records)
+
+    monkeypatch.setattr(cli, "groups_to_pairs", pairs)
+    monkeypatch.setattr(cli, "pairs_to_groups", regroup)
+    argv = ["compare", "--data", data, "--heldout", heldout, "--config", _compare_config(tmp_path),
+            "--seeds", "2", "--epochs", "2"]
+    assert cli.run(argv + ["--fixed-pairs"] * fixed).exit_code == 0
+    epochs = [0] if fixed else [0, 1]
+    assert [seed for name, seed in calls if name == "groups_to_pairs"] == [
+        [seed, 3, epoch] for seed in (0, 1) for epoch in epochs
+    ]
+    assert [name for name, _ in calls] == ["groups_to_pairs", "pairs_to_groups"] * 2 * len(epochs)
+
+
 def test_compare_encodes_the_pivot_once_per_evaluation(tmp_path, monkeypatch):
     train_groups, eval_groups = gen_cipher_corpus(30, 5, 4, 2, 150, 1)
     data, heldout = str(tmp_path / "groups.jsonl"), str(tmp_path / "heldout.jsonl")
@@ -814,6 +871,30 @@ def test_compare_keeps_one_arm_model_alive(tmp_path, monkeypatch):
     assert out.exit_code == 0
     # two seeds, two arms each; no earlier arm's model outlives its evaluation
     assert alive_at_start == [0, 0, 0, 0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_importing_multipos_first_runs_blas_on_one_thread():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # each case prints its thread count and the three variables
+    report = (f"import json, os\nprint(json.dumps([len(os.listdir('/proc/self/task')), "
+              f"{{v: os.environ.get(v) for v in {names!r}}}]))")
+
+    def run(code, **preset):
+        res = subprocess.run([sys.executable, "-c", code + report], capture_output=True, text=True,
+                             env={**env, **preset}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout)
+
+    # OpenBLAS starts its workers when numpy loads; a product this size uses them
+    threads, values = run("import multipos\nimport numpy as np\nx = np.ones((600, 600))\nx @ x\n")
+    assert threads == 1
+    assert values == dict.fromkeys(names, "1")
+    assert run("import multipos\n", OPENBLAS_NUM_THREADS="2")[1]["OPENBLAS_NUM_THREADS"] == "2"
+    assert run("import numpy\nimport multipos\n")[1] == dict.fromkeys(names)
 
 
 def test_train_leaves_numpy_ma_unimported(tmp_path):
