@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: build-data, to-pairs, synth, train, eval, compare.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+130 interrupted.
 Reports are JSON documents written to --out (stdout when omitted);
 diagnostics go to stderr. Runs with the same flags and seed leave
 byte-identical artifacts; wall-clock times appear only in train logs.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import glob
 import json
 import os
 import sys
@@ -46,7 +46,7 @@ from .evaluation import (
     retrieval_accuracy,
     sts_eval,
 )
-from .train import TrainConfig, load_config, train, write_log_jsonl
+from .train import TrainConfig, epoch_checkpoints, final_checkpoint, load_config, train
 
 
 class UsageError(Exception):
@@ -178,28 +178,25 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
     try:
         cfg = load_config(args.config) if args.config else default
         return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
 
 
 def _cmd_train(args) -> CommandOutcome:
     # A new run beside an old one's checkpoints would leave epochs of both,
     # and eval --checkpoint-dir would choose among them.
-    out = glob.escape(args.out)
-    stale = sorted(glob.glob(os.path.join(out, "epoch_*.ckpt")) + glob.glob(os.path.join(out, "final.ckpt")))
+    stale = epoch_checkpoints(args.out) + [p for p in [final_checkpoint(args.out)] if os.path.exists(p)]
     if stale:
         raise UsageError(f"--out {args.out} already holds checkpoints ({stale[0]}); give a new directory")
     cfg = _train_config(args, TrainConfig(), seed=args.seed)
     result = train(cfg, read_groups_jsonl(args.data), out_dir=args.out)
-    log_path = os.path.join(args.out, "log.jsonl")
-    write_log_jsonl(result.records, log_path)
     if result.dropped_tail_groups:
         print(f"dropped {result.dropped_tail_groups} tail groups (batch below 2)", file=sys.stderr)
     print(
         f"trained {len(result.records)} steps; checkpoints: {', '.join(result.checkpoint_paths)}",
         file=sys.stderr,
     )
-    return CommandOutcome(0, result.checkpoint_paths + [log_path])
+    return CommandOutcome(0, result.checkpoint_paths)
 
 
 # Per eval task: the file flags its report reads, then the flags that stand
@@ -307,7 +304,7 @@ def _score(score, params, path: str) -> EvalReport:
 
 def _select(directory: str, score):
     """The first epoch checkpoint with the best dev score, its params, and every score."""
-    paths = sorted(glob.glob(os.path.join(directory, "epoch_*.ckpt")))
+    paths = epoch_checkpoints(directory)
     if not paths:
         raise DataFormatError(f"no epoch_*.ckpt files under {directory}")
     scores = {}
@@ -539,13 +536,9 @@ def build_parser() -> _Parser:
 
 
 def run(argv: list[str]) -> CommandOutcome:
-    parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return CommandOutcome(1)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -559,6 +552,14 @@ def run(argv: list[str]) -> CommandOutcome:
     except (FloatingPointError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return CommandOutcome(3)
+    except KeyboardInterrupt:
+        note = ""
+        if args is not None and args.command == "train":
+            # each checkpoint is saved atomically, so the newest one listed is whole
+            newest = epoch_checkpoints(args.out)
+            note = f": newest checkpoint is {newest[-1]}" if newest else ": no epoch checkpoint was written"
+        print(f"interrupted{note}", file=sys.stderr)
+        return CommandOutcome(130)
 
 
 def main() -> None:

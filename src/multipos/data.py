@@ -391,6 +391,8 @@ def read_groups_jsonl(path: str) -> list[SentenceGroup]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # a number too long, nesting too deep
+                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             try:
                 groups.append(
                     SentenceGroup(

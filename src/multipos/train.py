@@ -8,6 +8,7 @@ and seed, two runs produce bit-identical checkpoints.
 
 from __future__ import annotations
 
+import glob
 import itertools
 import json
 import math
@@ -248,6 +249,16 @@ class TrainResult:
     dropped_tail_groups: int = 0
 
 
+def epoch_checkpoints(directory: str) -> list[str]:
+    """The epoch checkpoints train() wrote under `directory`, oldest first."""
+    return sorted(glob.glob(os.path.join(glob.escape(directory), "epoch_*.ckpt")))
+
+
+def final_checkpoint(directory: str) -> str:
+    """Where train() saves the last parameters under `directory`."""
+    return os.path.join(directory, "final.ckpt")
+
+
 def train(
     cfg: TrainConfig,
     groups: Sequence[SentenceGroup],
@@ -257,12 +268,12 @@ def train(
 ) -> TrainResult:
     """Run the full schedule over the dataset from fresh parameters.
 
-    Saves a checkpoint per epoch end plus a final one when out_dir is
-    given. dataset_fn, when set, supplies the groups for each epoch
-    (the single arm's pairings); otherwise the static dataset is
-    reused every epoch. Every epoch tokenizes through `tokens`, a
-    fresh TokenCache for the run when none is given, so each distinct
-    text is tokenized once.
+    With out_dir, each epoch appends its records to log.jsonl before
+    it saves epoch_NNNN.ckpt, and final.ckpt ends the run. dataset_fn,
+    when set, supplies the groups for each epoch (the single arm's
+    pairings); otherwise the static dataset is reused every epoch.
+    Every epoch tokenizes through `tokens`, a fresh TokenCache for the
+    run when none is given, so each distinct text is tokenized once.
 
     While training, the table and both moments are stored in the order
     batches first touch their rows (_FirstTouchOrder), so Adam runs on a
@@ -274,8 +285,8 @@ def train(
     def epoch_groups(epoch: int) -> Sequence[SentenceGroup]:
         return dataset_fn(epoch) if dataset_fn is not None else groups
 
-    # Fail on dataset/config mismatches before any step runs; make_batches
-    # checks every later epoch's groups the same way.
+    # Fail on dataset/config mismatches before any step runs or any file
+    # is made; make_batches checks every later epoch's groups the same way.
     probe = epoch_groups(0)
     check_fit(probe, cfg.k_positives, cfg.use_hard_negatives)
 
@@ -289,11 +300,14 @@ def train(
     dropped_tail = 0
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        log_path = os.path.join(out_dir, "log.jsonl")
+        open(log_path, "w", encoding="utf-8").close()
 
     step = 0
     for epoch in range(cfg.epochs):
         data = probe if epoch == 0 else epoch_groups(epoch)
         seen = 0
+        first = step
         # A step's clock starts where the previous step's stopped, so it
         # covers building its batch and the per-step times add up.
         t0 = time.perf_counter()
@@ -346,25 +360,20 @@ def train(
             adam_step(params, opt, grads, lr)
 
             t1 = time.perf_counter()
-            rec = TrainLogRecord(step, phase, objective, lr, float(out.value), (t1 - t0) * 1e3)
+            records.append(TrainLogRecord(step, phase, objective, lr, float(out.value), (t1 - t0) * 1e3))
             t0 = t1
-            records.append(rec)
             seen += n
             step += 1
         dropped_tail += len(data) - seen
         if out_dir:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write("".join(json.dumps(asdict(rec)) + "\n" for rec in records[first:]))
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
             order.save(path)
             paths.append(path)
     order.restore()
     if out_dir:
-        path = os.path.join(out_dir, "final.ckpt")
+        path = final_checkpoint(out_dir)
         save_checkpoint(params, opt, path)
         paths.append(path)
     return TrainResult(params, opt, records, paths, dropped_tail)
-
-
-def write_log_jsonl(records: Sequence[TrainLogRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(asdict(rec)) + "\n")

@@ -1,9 +1,11 @@
 import gc
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 import weakref
 import zlib
 from collections import Counter
@@ -38,6 +40,7 @@ from multipos.evaluation import (
     retrieval_accuracy,
     sts_eval,
 )
+from multipos.train import load_config, train
 
 
 def _write(path, text):
@@ -95,6 +98,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             assert out.exit_code == 1
             assert "usage error: bad config" in capsys.readouterr().err
 
+    # JSON nested past the recursion limit is a bad config, not a crash
+    cfg = _write(tmp_path / "deep.json", "[" * 200_000)
+    assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "deep")]).exit_code == 1
+    assert "usage error: bad config" in capsys.readouterr().err
+
     # the dataset-fit check runs before step 0: 3 languages cannot give an anchor and 3 positives
     cfg = _tiny_train_config(tmp_path, k_positives=3)
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "fit")]).exit_code == 1
@@ -140,6 +148,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
     out = cli.run(["to-pairs", "--data", bad, "--out", str(tmp_path / "p.tsv")])
     assert out.exit_code == 2
     assert ":2:" in capsys.readouterr().err
+
+    # nesting past the recursion limit, and an integer too long to convert, are bad JSON too
+    good = '{"id": "a", "texts": {"x": "1", "y": "2"}}\n'
+    for line in ("[" * 200_000, '{"id": 1' + "0" * 5000 + ', "texts": {}}'):
+        bad = _write(tmp_path / "bad.jsonl", good + line + "\n")
+        assert cli.run(["to-pairs", "--data", bad, "--out", str(tmp_path / "p.tsv")]).exit_code == 2
+        assert f"data error: {bad}:2: invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -262,6 +277,22 @@ def test_train_refuses_an_out_that_holds_checkpoints(tmp_path, capsys):
     (run_dir / "final.ckpt").unlink()
     assert retrain(data)[0] == 0
     assert sorted(p.name for p in run_dir.iterdir()) == ["epoch_0001.ckpt", "final.ckpt", "log.jsonl"]
+
+
+def test_eval_checkpoint_dir_whose_name_holds_glob_characters(tmp_path):
+    data, groups = _groups_file(tmp_path)
+    cfg = _tiny_train_config(tmp_path, epochs=2)
+    run_dir = tmp_path / "run[1]"
+    assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(run_dir)]).exit_code == 0
+    src = _write(tmp_path / "src.txt", "\n".join(g.texts["a"] for g in groups) + "\n")
+    tgt = _write(tmp_path / "tgt.txt", "\n".join(g.texts["b"] for g in groups) + "\n")
+    report = tmp_path / "report.json"
+    out = cli.run(["eval", "--task", "retrieval", "--checkpoint-dir", str(run_dir), "--src", src, "--tgt", tgt,
+                   "--dev-src", src, "--dev-tgt", tgt, "--out", str(report)])
+    assert out.exit_code == 0
+    meta = json.loads(report.read_text())["metadata"]
+    assert sorted(meta["dev_scores"]) == ["epoch_0001.ckpt", "epoch_0002.ckpt"]
+    assert os.path.dirname(meta["checkpoint"]) == str(run_dir)
 
 
 @pytest.fixture()
@@ -595,6 +626,33 @@ def test_eval_survives_damaged_checkpoints(fuzz_inputs, case):
     assert cli.run(argv).exit_code in (0, 2)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_GROUP_LINE = st.one_of(
+    st.text(),
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries({"id": _JSON, "texts": _JSON}, optional={"hard_negatives": _JSON}).map(json.dumps),
+    st.fixed_dictionaries(
+        {"id": st.text(max_size=4), "texts": st.dictionaries(st.text(max_size=4), st.text(max_size=8), max_size=4)}
+    ).map(json.dumps),
+)
+
+
+@given(lines=st.lists(_GROUP_LINE, max_size=4))
+@example(lines=["[" * 200_000])
+@example(lines=['{"id": "g", "texts": {"a": ' + "[" * 5_000 + "]" * 5_000 + "}}"])
+@example(lines=['{"id": "g", "texts": {"a": 1' + "0" * 5_000 + "}}"])
+def test_to_pairs_survives_any_groups_file(fuzz_inputs, lines):
+    # any groups file is converted (exit 0) or refused as a data error (exit 2):
+    # never a usage error, a numeric failure or an exception out of cli.run
+    d = fuzz_inputs[0]
+    path = _write(d / "groups.jsonl", "\n".join(lines) + "\n")
+    assert cli.run(["to-pairs", "--data", path, "--out", str(d / "pairs.tsv")]).exit_code in (0, 2)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_eval_sts_non_finite_gold_is_data_error(epochs_run, tmp_path, capsys, bad):
     run_dir, _ = epochs_run
@@ -910,3 +968,50 @@ def test_train_leaves_numpy_ma_unimported(tmp_path):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "run" / "final.ckpt").exists()
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGINT") or os.name == "nt" or signal.getsignal(signal.SIGINT) is signal.SIG_IGN,
+    reason="SIGINT does not reach the child as KeyboardInterrupt here",
+)
+def test_train_interrupted_by_sigint_names_its_newest_checkpoint(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert cli.run(["synth", "--concepts", "500", "--langs", "6", "--heldout", "1", "--seed", "7",
+                    "--out", str(corpus)]).exit_code == 0
+    data = str(corpus / "groups.jsonl")
+    recipe = dict(batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False)
+    cfg = _write(tmp_path / "cfg.json", json.dumps(dict(recipe, epochs=30)))
+    run_dir = tmp_path / "run"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multipos.cli", "train", "--config", cfg, "--data", data, "--out", str(run_dir)],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not (run_dir / "epoch_0002.ckpt").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    prefix = "interrupted: newest checkpoint is "
+    assert line.startswith(prefix)
+    newest = Path(line[len(prefix):])
+    assert newest.parent == run_dir and newest.exists()
+    epoch = int(newest.stem.removeprefix("epoch_"))
+    assert epoch >= 2
+
+    # the log covers every step of that checkpoint, in whole epochs, and
+    # starts as an uninterrupted 2-epoch run does
+    want = train(load_config(dict(recipe, epochs=2)), read_groups_jsonl(data)).records
+    per_epoch = len(want) // 2
+    log = [json.loads(line) for line in (run_dir / "log.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(log) % per_epoch == 0 and len(log) >= epoch * per_epoch
+    assert [(r["step"], r["loss"]) for r in log[: len(want)]] == [(r.step, r.loss) for r in want]

@@ -18,7 +18,6 @@ from multipos.train import (
     load_config,
     schedule,
     train,
-    write_log_jsonl,
 )
 
 from helpers import dense_adam_step, dense_encode_backward, densify, full_grads, hashed_train
@@ -170,7 +169,7 @@ def test_checkpoint_files_per_epoch(tmp_path):
     cfg = _small_cfg(epochs=2)
     res = train(cfg, _groups(8), out_dir=str(tmp_path))
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt"]
+    assert names == ["epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt", "log.jsonl"]
     assert res.checkpoint_paths[-1].endswith("final.ckpt")
     # nothing runs between the last epoch checkpoint and the final one
     assert (tmp_path / "epoch_0002.ckpt").read_bytes() == (tmp_path / "final.ckpt").read_bytes()
@@ -432,15 +431,30 @@ def test_training_with_clipping_runs():
     assert all(math.isfinite(r.loss) for r in res.records)
 
 
-def test_write_log_jsonl(tmp_path):
-    res = train(_small_cfg(), _groups(4))
-    path = tmp_path / "log.jsonl"
-    write_log_jsonl(res.records, str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(res.records)
+def test_train_writes_its_log_before_each_checkpoint(tmp_path, monkeypatch):
+    # the log a run leaves covers every step of each checkpoint it saved
+    train_mod = sys.modules["multipos.train"]
+    save = train_mod.save_checkpoint
+    logged_at_save = []
+
+    def spy_save(params, opt, path):
+        lines = (tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()
+        logged_at_save.append((os.path.basename(path), len(lines)))
+        save(params, opt, path)
+
+    monkeypatch.setattr(train_mod, "save_checkpoint", spy_save)
+    (tmp_path / "log.jsonl").write_text("an older run's line\n", encoding="utf-8")
+    res = train(_small_cfg(epochs=2), _groups(8), out_dir=str(tmp_path))
+    assert logged_at_save == [("epoch_0001.ckpt", 2), ("epoch_0002.ckpt", 4), ("final.ckpt", 4)]
+    lines = (tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(dataclasses.asdict(rec)) for rec in res.records]
     rec = json.loads(lines[0])
     assert set(rec) == {"step", "phase", "objective", "lr", "loss", "wall_ms"}
     assert rec["step"] == 0 and rec["objective"] == "multi"
+
+    # a run with no epochs leaves an empty log
+    train(_small_cfg(epochs=0), _groups(8), out_dir=str(tmp_path / "none"))
+    assert (tmp_path / "none" / "log.jsonl").read_text(encoding="utf-8") == ""
 
 
 def test_loss_decreases_over_epochs():
