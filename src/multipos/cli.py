@@ -33,6 +33,8 @@ from .data import (
     pairs_to_groups,
     read_aligned_corpus,
     read_groups_jsonl,
+    read_lines,
+    read_tsv,
     write_groups_jsonl,
     write_pairs_tsv,
 )
@@ -80,34 +82,6 @@ def _write_report(report: dict, out: str | None) -> list[str]:
         return [out]
     sys.stdout.write(text)
     return []
-
-
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    return lines
-
-
-def _read_tsv(path: str, layout: str, parse=lambda *cols: cols) -> list:
-    """Rows of a tab-separated file laid out as `layout`, each through `parse`.
-
-    `parse` takes a row's columns and raises ValueError on a bad value.
-    """
-    width = layout.count("<TAB>") + 1
-    rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        cols = line.split("\t")
-        if len(cols) != width:
-            raise DataFormatError(f"{path}:{lineno}: expected {layout}")
-        try:
-            rows.append(parse(*cols))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
 
 
 def _parse_lang_file(values: list[str]) -> dict[str, str]:
@@ -226,7 +200,7 @@ def _scorer(args, flags: tuple[str, ...], final: bool, tokens: TokenCache):
         return encode_texts(params, texts, args.max_len, tokens)
 
     if args.task in ("retrieval", "mine"):
-        src, tgt = _read_lines(paths[0]), _read_lines(paths[1])
+        src, tgt = read_lines(paths[0]), read_lines(paths[1])
 
     if args.task == "retrieval":
         if len(src) != len(tgt):
@@ -250,7 +224,7 @@ def _scorer(args, flags: tuple[str, ...], final: bool, tokens: TokenCache):
                 raise ValueError(f"pair ({i}, {j}) outside the {len(src)} x {len(tgt)} candidates")
             return i, j
 
-        gold = _read_tsv(paths[2], "i<TAB>j", index_pair)
+        gold = read_tsv(paths[2], "i<TAB>j", index_pair)
         threshold = args.threshold if final else None
 
         def score(params):
@@ -268,13 +242,18 @@ def _scorer(args, flags: tuple[str, ...], final: bool, tokens: TokenCache):
                 raise ValueError(f"gold score {gold!r} is not finite")
             return a, b, score
 
-        pairs = _read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", scored_pair)
-        if len({gold for _, _, gold in pairs}) < 2:
+        texts_a, texts_b, gold = zip(*read_tsv(paths[0], "text_a<TAB>text_b<TAB>gold", scored_pair))
+        if len(set(gold)) < 2:
             raise DataFormatError(f"{paths[0]}: need at least 2 distinct gold scores")
-        return lambda params: sts_eval(params, pairs, max_len=args.max_len, tokens=tokens)
+
+        def score(params):
+            rho = sts_eval(enc(params, texts_a), enc(params, texts_b), gold)
+            return EvalReport("sts", rho, metadata={"pairs": len(gold)})
+
+        return score
 
     (train_labels, train_texts), (test_labels, test_texts) = (
-        zip(*_read_tsv(p, "label<TAB>text")) for p in paths
+        zip(*read_tsv(p, "label<TAB>text")) for p in paths
     )
     if len(set(train_labels)) < 2:
         raise DataFormatError(f"{paths[0]}: need at least 2 labels, got {sorted(set(train_labels))}")
@@ -549,7 +528,7 @@ def run(argv: list[str]) -> CommandOutcome:
     except (DataFormatError, CheckpointError, ConstantSimilarityError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return CommandOutcome(2)
-    except (FloatingPointError, ValueError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return CommandOutcome(3)
     except KeyboardInterrupt:

@@ -420,18 +420,29 @@ def write_pairs_tsv(pairs: Sequence[PairRecord], path: str) -> None:
             fh.write("\t".join(fields) + "\n")
 
 
-def read_pairs_tsv(path: str) -> list[PairRecord]:
-    pairs = []
+def read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(cols)}")
-            try:
-                pairs.append(PairRecord(*cols))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return pairs
+        lines = [line.rstrip("\n") for line in fh]
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    return lines
+
+
+def read_tsv(path: str, layout: str, parse=lambda *cols: cols) -> list:
+    """Rows of a tab-separated file laid out as `layout`, each through `parse`.
+
+    `parse` takes a row's columns and raises ValueError on a bad value.
+    """
+    width = layout.count("<TAB>") + 1
+    rows = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        cols = line.split("\t")
+        if len(cols) != width:
+            raise DataFormatError(f"{path}:{lineno}: expected {layout}")
+        try:
+            rows.append(parse(*cols))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return rows

@@ -459,6 +459,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:
         (stored_crc,) = struct.unpack("<I", fh.read(4))
     if crc & 0xFFFFFFFF != stored_crc:
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
+    # a written checkpoint is finite (adam_step raises on float32 overflow);
+    # min and max show NaN and +-inf without a table-sized temporary
+    for a in arrays:
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise CheckpointError(f"{path}: non-finite values (NaN or inf) in a stored array")
 
     table, proj, m_table, m_proj, v_table, v_proj = arrays
     params = ModelParams(table, proj, hash_bits=hash_bits, dim=dim)

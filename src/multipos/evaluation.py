@@ -57,16 +57,20 @@ def _check_rows(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_aligned(a_name: str, a: np.ndarray, b_name: str, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _check_rows(a_name, a), _check_rows(b_name, b)
+    if a.shape != b.shape:
+        raise ValueError(f"aligned sets must share a shape, got {a.shape} and {b.shape}")
+    return a, b
+
+
 def retrieval_accuracy(src_embs, tgt_embs) -> float:
     """Fraction of sources whose nearest target is the aligned one.
 
     Row i of the targets is the gold match of source i; cosine ties
     resolve to the lowest index.
     """
-    src = _check_rows("src_embs", src_embs)
-    tgt = _check_rows("tgt_embs", tgt_embs)
-    if src.shape != tgt.shape:
-        raise ValueError(f"aligned sets must share a shape, got {src.shape} and {tgt.shape}")
+    src, tgt = _check_aligned("src_embs", src_embs, "tgt_embs", tgt_embs)
     pred = (src @ tgt.T).argmax(axis=1)
     return float((pred == np.arange(src.shape[0])).mean())
 
@@ -155,33 +159,19 @@ class ConstantSimilarityError(ValueError):
     """The model gives every STS pair the same similarity, so no rank correlation exists."""
 
 
-def sts_eval(
-    params: ModelParams,
-    pairs: Sequence[tuple[str, str, float]],
-    max_len: int = 64,
-    tokens: TokenCache | None = None,
-) -> EvalReport:
-    """Spearman between encoded-pair cosines and gold similarity scores.
+def sts_eval(embs_a, embs_b, gold) -> float:
+    """Spearman between the cosines of aligned unit-norm rows and gold similarity scores.
 
     Raises ConstantSimilarityError when every predicted cosine is equal.
     """
-    if len(pairs) < 2:
-        raise ValueError("need at least 2 scored pairs")
-    if tokens is None:
-        tokens = TokenCache()
-    texts_a = [a for a, _, _ in pairs]
-    texts_b = [b for _, b, _ in pairs]
-    gold = [float(s) for _, _, s in pairs]
-    embs_a = encode_texts(params, texts_a, max_len=max_len, tokens=tokens)
-    embs_b = encode_texts(params, texts_b, max_len=max_len, tokens=tokens)
-    preds = (embs_a * embs_b).sum(axis=1)
+    a, b = _check_aligned("embs_a", embs_a, "embs_b", embs_b)
+    preds = (a * b).sum(axis=1)
     if (preds == preds[0]).all():
         raise ConstantSimilarityError(
             f"every predicted similarity is {float(preds[0])!r}: "
             "rank correlation undefined for a constant vector"
         )
-    rho = spearman(preds, gold)
-    return EvalReport(task="sts", overall=rho, metadata={"pairs": len(pairs)})
+    return spearman(preds, gold)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:

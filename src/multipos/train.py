@@ -303,6 +303,11 @@ def train(
         log_path = os.path.join(out_dir, "log.jsonl")
         open(log_path, "w", encoding="utf-8").close()
 
+    def log(recs: list[TrainLogRecord]) -> None:
+        if out_dir:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write("".join(json.dumps(asdict(rec)) + "\n" for rec in recs))
+
     step = 0
     for epoch in range(cfg.epochs):
         data = probe if epoch == 0 else epoch_groups(epoch)
@@ -311,63 +316,67 @@ def train(
         # A step's clock starts where the previous step's stopped, so it
         # covers building its batch and the per-step times add up.
         t0 = time.perf_counter()
-        for batch in make_batches(
-            data,
-            cfg.batch_size,
-            cfg.k_positives,
-            [cfg.seed, 1 + epoch],
-            max_len=cfg.max_len,
-            hash_bits=cfg.hash_bits,
-            use_hard_negatives=cfg.use_hard_negatives,
-            tokens=tokens,
-        ):
-            phase, objective, lr = schedule(step, cfg)
-            n = batch.size
-            k = len(batch.positives[0])
-            flat = list(batch.anchors)
-            for row in batch.positives:
-                flat.extend(row)
-            if batch.hard_negatives:
-                flat.extend(batch.hard_negatives)
-            embs, cache = encode(params, order.relabel(flat))
-            anchors = embs[:n]
-            positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
-            hard = embs[n + n * k :] if batch.hard_negatives else None
+        try:
+            for batch in make_batches(
+                data,
+                cfg.batch_size,
+                cfg.k_positives,
+                [cfg.seed, 1 + epoch],
+                max_len=cfg.max_len,
+                hash_bits=cfg.hash_bits,
+                use_hard_negatives=cfg.use_hard_negatives,
+                tokens=tokens,
+            ):
+                phase, objective, lr = schedule(step, cfg)
+                n = batch.size
+                k = len(batch.positives[0])
+                flat = list(batch.anchors)
+                for row in batch.positives:
+                    flat.extend(row)
+                if batch.hard_negatives:
+                    flat.extend(batch.hard_negatives)
+                embs, cache = encode(params, order.relabel(flat))
+                anchors = embs[:n]
+                positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
+                hard = embs[n + n * k :] if batch.hard_negatives else None
 
-            grad_rows = np.zeros_like(embs)
-            if objective == "single":
-                pick_rng = np.random.default_rng([cfg.seed, 2, step])
-                picked = pick_rng.integers(k, size=n)
-                out = single_positive_loss(anchors, positives[np.arange(n), picked], tau=cfg.tau)
-                grad_rows[n + np.arange(n) * k + picked] = out.grad_positives
-            else:
-                out = multi_positive_loss(
-                    anchors, positives, hard, tau=cfg.tau, normalization=cfg.normalization
-                )
-                grad_rows[n : n + n * k] = out.grad_positives.reshape(n * k, cfg.dim)
-                if hard is not None:
-                    grad_rows[n + n * k :] = out.grad_hard_negatives
-            grad_rows[:n] = out.grad_anchor
+                grad_rows = np.zeros_like(embs)
+                if objective == "single":
+                    pick_rng = np.random.default_rng([cfg.seed, 2, step])
+                    picked = pick_rng.integers(k, size=n)
+                    out = single_positive_loss(anchors, positives[np.arange(n), picked], tau=cfg.tau)
+                    grad_rows[n + np.arange(n) * k + picked] = out.grad_positives
+                else:
+                    out = multi_positive_loss(
+                        anchors, positives, hard, tau=cfg.tau, normalization=cfg.normalization
+                    )
+                    grad_rows[n : n + n * k] = out.grad_positives.reshape(n * k, cfg.dim)
+                    if hard is not None:
+                        grad_rows[n + n * k :] = out.grad_hard_negatives
+                grad_rows[:n] = out.grad_anchor
 
-            if not math.isfinite(out.value):
-                raise NonFiniteLossError(
-                    f"loss {out.value} at step {step} (epoch {epoch}, phase {phase}, lr {lr}, "
-                    f"anchor langs {sorted(set(batch.anchor_langs))})"
-                )
-            grads = encode_backward(params, cache, grad_rows)
-            if cfg.max_grad_norm is not None:
-                order.clip(grads, cfg.max_grad_norm)
-            adam_step(params, opt, grads, lr)
+                if not math.isfinite(out.value):
+                    raise NonFiniteLossError(
+                        f"loss {out.value} at step {step} (epoch {epoch}, phase {phase}, lr {lr}, "
+                        f"anchor langs {sorted(set(batch.anchor_langs))})"
+                    )
+                grads = encode_backward(params, cache, grad_rows)
+                if cfg.max_grad_norm is not None:
+                    order.clip(grads, cfg.max_grad_norm)
+                adam_step(params, opt, grads, lr)
 
-            t1 = time.perf_counter()
-            records.append(TrainLogRecord(step, phase, objective, lr, float(out.value), (t1 - t0) * 1e3))
-            t0 = t1
-            seen += n
-            step += 1
+                t1 = time.perf_counter()
+                records.append(TrainLogRecord(step, phase, objective, lr, float(out.value), (t1 - t0) * 1e3))
+                t0 = t1
+                seen += n
+                step += 1
+        except Exception:
+            # a failed step leaves the steps before it in the log
+            log(records[first:])
+            raise
         dropped_tail += len(data) - seen
+        log(records[first:])
         if out_dir:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write("".join(json.dumps(asdict(rec)) + "\n" for rec in records[first:]))
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
             order.save(path)
             paths.append(path)

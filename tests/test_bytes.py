@@ -26,6 +26,11 @@ DIGESTS = {
     "train single, final.ckpt": "1ddd8ef2ef9feccabc75bcc7668807f251cb36e1c350a588ef0109a468a1686f",
 }
 
+# SHA-256 of run/final.ckpt after README's Quick start: 30 epochs of the
+# recipe below. It writes 746 MB of checkpoints, so CI's Quick start step
+# checks it rather than a test.
+QUICKSTART_FINAL = "a6a4fd3c6ff8f621d2c47f737a1d099920e9d9e502a22c3ce56ba55de6990140"
+
 # compare's built-in recipe, as a train config
 RECIPE = dict(batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False, epochs=2)
 

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from multipos import cli
 from multipos.data import (
+    PairRecord,
     SentenceGroup,
     attach_hard_negatives,
     gen_cipher_corpus,
     read_groups_jsonl,
-    read_pairs_tsv,
+    read_tsv,
     write_groups_jsonl,
 )
 from multipos.encoder import (
@@ -223,7 +224,7 @@ def test_to_pairs_conserves_sentences(tmp_path):
     data, groups = _groups_file(tmp_path, n=10, langs=("a", "b", "c"))
     out_path = str(tmp_path / "pairs.tsv")
     assert cli.run(["to-pairs", "--data", data, "--seed", "4", "--out", out_path]).exit_code == 0
-    pairs = read_pairs_tsv(out_path)
+    pairs = read_tsv(out_path, "src_lang<TAB>tgt_lang<TAB>src_text<TAB>tgt_text", PairRecord)
     assert len(pairs) == 10  # one pair per group, one sentence dropped each
     used = {(p.src_lang, p.src_text) for p in pairs} | {(p.tgt_lang, p.tgt_text) for p in pairs}
     allowed = {(l, g.texts[l]) for g in groups for l in g.texts}
@@ -353,7 +354,10 @@ def test_eval_mine_and_classify_and_sts(trained):
     out = cli.run(["eval", "--task", "sts", "--checkpoint", ckpt, "--pairs", sts,
                    "--out", str(out_path)])
     assert out.exit_code == 0
-    assert -1.0 <= json.loads(out_path.read_text())["overall"] <= 1.0
+    report = json.loads(out_path.read_text())
+    assert report["task"] == "sts"
+    assert report["metadata"]["pairs"] == 3
+    assert -1.0 <= report["overall"] <= 1.0
 
     train_file = _write(tmp_path / "probe_train.tsv",
                         "\n".join(f"c{i % 2}\tword{i} tok{i % 2}" for i in range(12)) + "\n")
@@ -436,8 +440,8 @@ def _dev_score(task, params, files):
         gold = [tuple(int(x) for x in line.split("\t")) for line in _lines(files["dev_gold"])]
         return mine_pairs_f1(enc("dev_src"), enc("dev_tgt"), gold).f1
     if task == "sts":
-        rows = [line.split("\t") for line in _lines(files["dev_pairs"])]
-        return sts_eval(params, [(a, b, float(s)) for a, b, s in rows]).overall
+        a, b, gold = zip(*(line.split("\t") for line in _lines(files["dev_pairs"])))
+        return sts_eval(encode_texts(params, a), encode_texts(params, b), [float(s) for s in gold])
     train = [line.split("\t") for line in _lines(files["train_file"])]
     dev = [line.split("\t") for line in _lines(files["dev_test"])]
     return linear_probe(
@@ -508,7 +512,7 @@ def test_eval_missing_flag_reads_no_checkpoint(epochs_run, load_calls, capsys, t
     assert load_calls == []
 
 
-@pytest.mark.parametrize("damage", ["truncated", "bad_magic", "flipped_crc"])
+@pytest.mark.parametrize("damage", ["truncated", "bad_magic", "flipped_crc", "nan", "inf"])
 @pytest.mark.parametrize("mode", ["--checkpoint", "--checkpoint-dir"])
 def test_eval_corrupt_checkpoint_is_data_error(epochs_run, tmp_path, capsys, mode, damage):
     run_dir, files = epochs_run
@@ -517,12 +521,16 @@ def test_eval_corrupt_checkpoint_is_data_error(epochs_run, tmp_path, capsys, mod
         data = data[: len(data) // 2]
     elif damage == "bad_magic":
         data[:4] = b"XXXX"
-    else:
+    elif damage == "flipped_crc":
         data[-1] ^= 0x01  # the last byte belongs to the stored CRC32
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
     (ckpt_dir / "epoch_0001.ckpt").write_bytes((run_dir / "epoch_0001.ckpt").read_bytes())
     (ckpt_dir / "epoch_0002.ckpt").write_bytes(bytes(data))
+    if damage in ("nan", "inf"):  # a valid CRC over a table of NaN or inf
+        params, state = load_checkpoint(str(ckpt_dir / "epoch_0002.ckpt"))
+        params.embedding_table[:] = float(damage)
+        save_checkpoint(params, state, str(ckpt_dir / "epoch_0002.ckpt"))
     if mode == "--checkpoint":
         argv = ["--checkpoint", str(ckpt_dir / "epoch_0002.ckpt"), "--pairs", files["pairs"]]
     else:
@@ -575,13 +583,13 @@ def test_eval_input_errors_exit_codes(epochs_run, tmp_path, capsys):
         assert "usage error: --threshold must be finite" in capsys.readouterr().err
 
 
-def _crafted_checkpoint(hash_bits: int, dim: int, step: int) -> bytes:
-    """A header declaring any shape, with a valid CRC; the declared zero-filled
-    body comes along only when it is small."""
+def _crafted_checkpoint(hash_bits: int, dim: int, step: int, fill: float = 0.0) -> bytes:
+    """A header declaring any shape, with a valid CRC; the declared body, every
+    value `fill`, comes along only when it is small."""
     header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, hash_bits, dim, step)
     body = b""
     if hash_bits < 32 and 12 * ((1 << hash_bits) * dim + dim * dim) <= 1 << 16:
-        body = bytes(12 * ((1 << hash_bits) * dim + dim * dim))
+        body = np.full(3 * ((1 << hash_bits) * dim + dim * dim), fill, dtype="<f4").tobytes()
     return header + body + struct.pack("<I", zlib.crc32(header + body))
 
 
@@ -601,11 +609,15 @@ _U32 = st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1))
     case=st.one_of(
         st.tuples(st.just("truncated"), st.integers(0, 1 << 20)),
         st.tuples(st.just("flipped"), st.integers(0, 1 << 20)),
-        st.tuples(st.just("crafted"), _U32, _U32, _U32),
+        st.tuples(st.just("crafted"), _U32, _U32, _U32, st.floats(width=32)),
     )
 )
 @example(case=("crafted", 4, 0, 0))
 @example(case=("crafted", 0, 4, 0))
+@example(case=("crafted", 2, 2, 0, float("nan")))
+@example(case=("crafted", 2, 2, 0, float("inf")))
+@example(case=("crafted", 2, 2, 0, float("-inf")))
+@example(case=("crafted", 2, 2, 0, 3.4e38))
 def test_eval_survives_damaged_checkpoints(fuzz_inputs, case):
     # any file is scored (exit 0) or refused as a data error (exit 2): never
     # a numeric failure, a usage error or an exception out of cli.run
@@ -651,6 +663,51 @@ def test_to_pairs_survives_any_groups_file(fuzz_inputs, lines):
     d = fuzz_inputs[0]
     path = _write(d / "groups.jsonl", "\n".join(lines) + "\n")
     assert cli.run(["to-pairs", "--data", path, "--out", str(d / "pairs.tsv")]).exit_code in (0, 2)
+
+
+def _text_file(row):
+    """Arbitrary text, or lines some of which are laid out as `row` draws them."""
+    return st.one_of(st.text(), st.lists(st.one_of(st.text(max_size=12), row), max_size=5).map("\n".join))
+
+
+_EVAL_TEXTS = st.fixed_dictionaries({
+    "src": _text_file(st.text(max_size=12)),
+    "tgt": _text_file(st.text(max_size=12)),
+    "gold": _text_file(st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map(lambda r: f"{r[0]}\t{r[1]}")),
+    "pairs": _text_file(
+        st.tuples(st.text(max_size=8), st.text(max_size=8), st.floats()).map(lambda r: f"{r[0]}\t{r[1]}\t{r[2]!r}")
+    ),
+    "train_file": _text_file(st.tuples(st.sampled_from("xyz"), st.text(max_size=8)).map("\t".join)),
+    "test_file": _text_file(st.tuples(st.sampled_from("xyz"), st.text(max_size=8)).map("\t".join)),
+})
+
+
+@given(texts=_EVAL_TEXTS)
+@example(texts={"src": "a b\nc d\n", "tgt": "c d\na b\n", "gold": "0\t1\n", "pairs": "a\tb\t1.0\nc\td\t2.0\n",
+                "train_file": "x\ta\ny\tb\n", "test_file": "y\tc\n"})
+@example(texts={"src": "a\n\n", "tgt": "\r\n", "gold": "1" + "0" * 5_000 + "\t0", "pairs": "a\tb\t1e999\nc\td\tnan",
+                "train_file": "x\t\ny\t", "test_file": "z\ta"})
+def test_eval_survives_any_text_inputs(fuzz_inputs, texts):
+    # every eval task scores its text files (exit 0) or refuses them as a data
+    # error (exit 2): never a usage error, a numeric failure or an exception
+    d = fuzz_inputs[0]
+    files = {flag: _write(d / f"{flag}.txt", text) for flag, text in texts.items()}
+    for task, (flags, _) in _TASK_FLAGS.items():
+        argv = ["eval", "--task", task, "--checkpoint", str(d / "valid.ckpt"), *_flag_args(files, flags),
+                "--out", str(d / "report.json")]
+        assert cli.run(argv).exit_code in (0, 2), task
+
+
+def test_a_value_error_is_not_a_numeric_failure(fuzz_inputs, monkeypatch):
+    # exit 3 means a FloatingPointError; a program bug that raises ValueError escapes cli.run
+    d, _, text = fuzz_inputs
+
+    def broken(src_embs, tgt_embs):
+        raise ValueError("shapes (3,2) and (2,3) not aligned")
+
+    monkeypatch.setattr(cli, "retrieval_accuracy", broken)
+    with pytest.raises(ValueError, match="not aligned"):
+        cli.run(["eval", "--task", "retrieval", "--checkpoint", str(d / "valid.ckpt"), "--src", text, "--tgt", text])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -18,7 +18,7 @@ from multipos.data import (
     pairs_to_groups,
     read_aligned_corpus,
     read_groups_jsonl,
-    read_pairs_tsv,
+    read_tsv,
     write_groups_jsonl,
     write_pairs_tsv,
 )
@@ -351,11 +351,16 @@ def test_groups_jsonl_errors(tmp_path):
     assert len(read_groups_jsonl(str(path))) == 1  # blank lines skipped
 
 
+def _read_pairs(path):
+    """A to-pairs TSV, read as the program reads every TSV."""
+    return read_tsv(path, "src_lang<TAB>tgt_lang<TAB>src_text<TAB>tgt_text", PairRecord)
+
+
 def test_pairs_tsv_round_trip_and_errors(tmp_path):
     pairs = [PairRecord("en", "de", "hello there", "hallo du")]
     path = str(tmp_path / "pairs.tsv")
     write_pairs_tsv(pairs, path)
-    assert read_pairs_tsv(path) == pairs
+    assert _read_pairs(path) == pairs
 
     with pytest.raises(DataFormatError):
         write_pairs_tsv([PairRecord("en", "de", "has\ttab", "y")], path)
@@ -363,10 +368,10 @@ def test_pairs_tsv_round_trip_and_errors(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("en\tde\tonly three\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=":1:"):
-        read_pairs_tsv(str(bad))
+        _read_pairs(str(bad))
     bad.write_text("en\ten\tsame\tlang\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=":1:"):
-        read_pairs_tsv(str(bad))
+        _read_pairs(str(bad))
 
 
 def test_read_aligned_corpus(tmp_path):

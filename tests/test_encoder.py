@@ -463,6 +463,21 @@ def test_checkpoint_save_is_atomic(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "array", ["embedding_table", "projection", "m_table", "m_projection", "v_table", "v_projection"]
+)
+def test_checkpoint_holding_nan_or_inf_is_refused(tmp_path, array, value):
+    # save_checkpoint writes any values with a valid CRC; load_checkpoint refuses a non-finite one
+    params, state = _trained_pair()
+    getattr(params if hasattr(params, array) else state, array)[-1, -1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, state, str(path))
+    with pytest.raises(CheckpointError, match="non-finite values") as info:
+        load_checkpoint(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_checkpoint_error_cases(tmp_path):
     params, state = _trained_pair()
     path = tmp_path / "model.ckpt"

@@ -4,6 +4,7 @@ import pytest
 from multipos.encoder import ModelParams
 from multipos import evaluation as evaluation_mod
 from multipos.evaluation import (
+    ConstantSimilarityError,
     _average_ranks,
     encode_texts,
     linear_probe,
@@ -203,23 +204,25 @@ def test_sts_self_consistency():
     embs_a = encode_texts(params, texts)
     embs_b = encode_texts(params, other)
     gold = (embs_a * embs_b).sum(axis=1)
-    pairs = [(a, b, float(s)) for a, b, s in zip(texts, other, gold)]
-    report = sts_eval(params, pairs)
-    assert report.task == "sts"
-    assert report.overall == 1.0
-    assert report.metadata["pairs"] == 10
-    assert sts_eval(params, pairs).overall == report.overall
+    rho = sts_eval(embs_a, embs_b, gold)
+    assert type(rho) is float
+    assert rho == 1.0
+    assert sts_eval(embs_a, embs_b, gold) == rho
+    assert sts_eval(embs_a, embs_b, -gold) == -1.0
 
 
 def test_sts_errors():
-    rng = np.random.default_rng(7)
-    params = _rand_params(rng)
-    with pytest.raises(ValueError):
-        sts_eval(params, [("a", "b", 1.0)])
-    # identical sentence pairs give constant predictions
-    pairs = [("same text", "same text", float(i)) for i in range(5)]
-    with pytest.raises(ValueError, match="constant"):
-        sts_eval(params, pairs)
+    rows = unit_rows(np.random.default_rng(7), 5, 4)
+    with pytest.raises(ConstantSimilarityError, match="every predicted similarity is"):
+        sts_eval(rows[:1], rows[1:2], [1.0])  # one row is a constant prediction
+    with pytest.raises(ValueError, match="share a shape"):
+        sts_eval(rows, rows[:4], [0.0, 1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        sts_eval(np.where(np.eye(5, 4) > 0, np.nan, rows), rows, [0.0, 1.0, 2.0, 3.0, 4.0])
+    # one row paired with itself five times gives constant predictions
+    same = np.repeat(rows[:1], 5, axis=0)
+    with pytest.raises(ConstantSimilarityError, match="every predicted similarity is .*: rank correlation"):
+        sts_eval(same, same, [float(i) for i in range(5)])
 
 
 def _clusters(rng, centers, per_class, noise=0.05):

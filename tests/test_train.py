@@ -244,6 +244,28 @@ def test_non_finite_loss_raises(monkeypatch):
         train(_small_cfg(), _groups(4))
 
 
+def test_a_failed_run_logs_the_steps_it_finished(tmp_path, monkeypatch):
+    # a loss poisoned at the third step of epoch 2 leaves epoch 1 and the two
+    # steps of epoch 2 before it in the log
+    full = train(_small_cfg(epochs=2), _groups(16)).records
+    assert len(full) == 8
+    train_mod = sys.modules["multipos.train"]
+    real = train_mod.multi_positive_loss
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return dataclasses.replace(out, value=float("nan")) if len(calls) == 7 else out
+
+    monkeypatch.setattr(train_mod, "multi_positive_loss", poisoned)
+    with pytest.raises(NonFiniteLossError, match=r"step 6 \(epoch 1,"):
+        train(_small_cfg(epochs=2), _groups(16), out_dir=str(tmp_path))
+    lines = (tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [(r["step"], r["loss"]) for r in map(json.loads, lines)] == [(r.step, r.loss) for r in full[:6]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_0001.ckpt", "log.jsonl"]
+
+
 def test_dataset_fn_supplies_each_epoch():
     calls = []
 
