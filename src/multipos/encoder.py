@@ -35,6 +35,9 @@ Checkpoint layout (little-endian, version 1):
     | f32 m_table | f32 m_projection | f32 v_table | f32 v_projection
     | u32 crc32 of all preceding bytes
 A checkpoint is written to path + ".tmp" and renamed into place.
+load_checkpoint checks every byte of it; unless asked for the moments,
+it streams them through a 1 MB buffer and keeps only the table and
+projection, which is all that encoding needs.
 
 The Adam constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS (0.9, 0.999,
 1e-8) are part of the format and are not serialized.
@@ -68,6 +71,10 @@ ADAM_EPS = 1e-8
 # Row-block size, in values, for gathered temporaries: small enough to
 # stay in cache and to keep peak memory flat as batches grow.
 _CHUNK_VALUES = 1 << 15
+
+# load_checkpoint checks the moments it does not keep through a buffer of
+# this many float32 values (1 MB).
+_SCRATCH_VALUES = 1 << 18
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -419,7 +426,16 @@ def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> No
         raise
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:
+def load_checkpoint(
+    path: str, *, moments: bool = False
+) -> tuple[ModelParams, OptimizerState | None]:
+    """The params at path, with their Adam state when moments is true.
+
+    Every byte is read and checked either way: the magic, version and
+    declared sizes, the CRC over the whole file, and that all six arrays
+    are finite. Without moments the four moment arrays stream through
+    one scratch buffer of at most _SCRATCH_VALUES, and the state is None.
+    """
     header_size = 4 + struct.calcsize("<IIII")
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -446,26 +462,35 @@ def load_checkpoint(path: str) -> tuple[ModelParams, OptimizerState]:
                 f"{path}: size {size} does not match the declared shapes ({expected})"
             )
 
-        # read each array in place; the CRC runs over the same bytes as they come in
+        # read each kept array in place, and each skipped one a scratch-full
+        # at a time; the CRC runs over the same bytes as they come in
         crc = zlib.crc32(magic + fields)
+        finite = True
         arrays = []
-        for shape in (table_shape, proj_shape) * 3:
-            a = np.empty(shape, dtype="<f4")
-            data = memoryview(a).cast("B")
-            if fh.readinto(data) != len(data):
-                raise CheckpointChecksumError(f"{path}: truncated checkpoint")
-            crc = zlib.crc32(data, crc)
-            arrays.append(a)
+        scratch = np.empty(min(_SCRATCH_VALUES, table_shape[0] * dim), dtype="<f4")
+        for i, shape in enumerate((table_shape, proj_shape) * 3):
+            if i < 2 or moments:
+                arrays.append(np.empty(shape, dtype="<f4"))
+                pieces = [arrays[-1]]
+            else:
+                n = shape[0] * shape[1]
+                pieces = (scratch[: n - lo] for lo in range(0, n, len(scratch)))
+            for piece in pieces:
+                data = memoryview(piece).cast("B")
+                if fh.readinto(data) != len(data):
+                    raise CheckpointChecksumError(f"{path}: truncated checkpoint")
+                crc = zlib.crc32(data, crc)
+                # min and max show NaN and +-inf without an array-sized temporary
+                finite = finite and bool(np.isfinite(piece.min()) and np.isfinite(piece.max()))
         (stored_crc,) = struct.unpack("<I", fh.read(4))
+    # a damaged file reports its checksum before any non-finite value in it
     if crc & 0xFFFFFFFF != stored_crc:
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
-    # a written checkpoint is finite (adam_step raises on float32 overflow);
-    # min and max show NaN and +-inf without a table-sized temporary
-    for a in arrays:
-        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise CheckpointError(f"{path}: non-finite values (NaN or inf) in a stored array")
+    # a written checkpoint is finite (adam_step raises on float32 overflow)
+    if not finite:
+        raise CheckpointError(f"{path}: non-finite values (NaN or inf) in a stored array")
 
-    table, proj, m_table, m_proj, v_table, v_proj = arrays
-    params = ModelParams(table, proj, hash_bits=hash_bits, dim=dim)
-    state = OptimizerState(m_table, m_proj, v_table, v_proj, step=step)
-    return params, state
+    params = ModelParams(arrays[0], arrays[1], hash_bits=hash_bits, dim=dim)
+    if not moments:
+        return params, None
+    return params, OptimizerState(*arrays[2:], step=step)

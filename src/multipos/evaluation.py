@@ -20,6 +20,10 @@ PROBE_ITERATIONS = 500
 PROBE_LR = 0.1
 PROBE_L2 = 1e-4
 
+# _top1 scores source rows in blocks of at most this many similarities
+# (4 MB of float64); a product no larger runs whole, as one BLAS call.
+_BLOCK_VALUES = 1 << 19
+
 
 @dataclass
 class EvalReport:
@@ -64,6 +68,24 @@ def _check_aligned(a_name: str, a: np.ndarray, b_name: str, b: np.ndarray) -> tu
     return a, b
 
 
+def _top1(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each source row's best target by dot product, and that score.
+
+    Equal scores go to the lowest target index. Blocks split source rows,
+    never a row's candidates, so each row's argmax sees all of them.
+    """
+    rows = max(1, _BLOCK_VALUES // tgt.shape[0])
+    best = np.empty(src.shape[0], dtype=np.intp)
+    scores = np.empty(src.shape[0], dtype=np.float64)
+    for lo in range(0, src.shape[0], rows):
+        sims = src[lo : lo + rows] @ tgt.T
+        b = sims.argmax(axis=1)
+        best[lo : lo + rows] = b
+        scores[lo : lo + rows] = sims[np.arange(len(b)), b]
+        del sims  # free this block before the next one is made
+    return best, scores
+
+
 def retrieval_accuracy(src_embs, tgt_embs) -> float:
     """Fraction of sources whose nearest target is the aligned one.
 
@@ -71,7 +93,7 @@ def retrieval_accuracy(src_embs, tgt_embs) -> float:
     resolve to the lowest index.
     """
     src, tgt = _check_aligned("src_embs", src_embs, "tgt_embs", tgt_embs)
-    pred = (src @ tgt.T).argmax(axis=1)
+    pred = _top1(src, tgt)[0]
     return float((pred == np.arange(src.shape[0])).mean())
 
 
@@ -94,9 +116,7 @@ def mine_pairs_f1(src_embs, tgt_embs, gold_pairs, threshold: float | None = None
         if not (0 <= i < src.shape[0] and 0 <= j < tgt.shape[0]):
             raise ValueError(f"gold pair {(i, j)} outside the candidate matrices")
 
-    sims = src @ tgt.T
-    best = sims.argmax(axis=1)
-    scores = sims[np.arange(src.shape[0]), best]
+    best, scores = _top1(src, tgt)
     n_tgt = tgt.shape[0]
     hit = np.isin(np.arange(src.shape[0]) * n_tgt + best, [i * n_tgt + j for i, j in gold])
 

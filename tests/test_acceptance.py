@@ -390,7 +390,7 @@ def test_training_reproducibility_and_checkpoint_round_trip(tmp_path, capsys):
         for name in ("epoch_0001.ckpt", "epoch_0002.ckpt")
     )
 
-    params, state = load_checkpoint(str(tmp_path / "r1" / "final.ckpt"))
+    params, state = load_checkpoint(str(tmp_path / "r1" / "final.ckpt"), moments=True)
     save_checkpoint(params, state, str(tmp_path / "resaved.ckpt"))
     round_trip = (tmp_path / "resaved.ckpt").read_bytes() == final1
     ok = identical and round_trip

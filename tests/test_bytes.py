@@ -1,5 +1,8 @@
 """The byte gate: artifacts of the compare recipe keep their exact bytes.
 
+They are compare reports, train checkpoints, and eval reports scored
+from the 2-epoch multi run.
+
 A change that alters these bytes on purpose records the new digests in
 DIGESTS and says so. The bytes pass through BLAS products, so they may
 also differ under another numpy or BLAS build, or on a CPU whose kernels
@@ -8,11 +11,13 @@ OpenBLAS picks differently; BUILD names the build they were recorded with.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from multipos import cli
+from multipos.data import read_groups_jsonl
 
 BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 
@@ -24,6 +29,11 @@ DIGESTS = {
     "compare --seeds 2 --epochs 1 --fixed-pairs": "960a843e8d765a86c5d6e3020499448ac5ab3e2e0055a3cd35a383552c0f32f8",
     "train multi, final.ckpt": "e0e8d7ac4c3b4f591f55bac60f83bc3f1fc4d05afc09372b952e907a546389c0",
     "train single, final.ckpt": "1ddd8ef2ef9feccabc75bcc7668807f251cb36e1c350a588ef0109a468a1686f",
+    # eval reports on the multi run; see _eval_reports
+    "eval retrieval --checkpoint-dir --both-directions": "beba647d9c46992447803ba9e45003c0edf39ca236143b3cc8f623d2c89d459d",
+    "eval mine": "28f78291f4c2f44a2bde60fb27d1e0204a59089d5d0920b55b0afd6f99510770",
+    "eval sts": "5f49ad7bd78a5812b67bf1b4eba70e9335bd35906eba75d369603660dc995f1f",
+    "eval classify": "c8ef818e92aea16904070c0f59b6453de9cf3c0d8eab37603ac7d4e3ab73d79b",
 }
 
 # SHA-256 of run/final.ckpt after README's Quick start: 30 epochs of the
@@ -62,7 +72,68 @@ def artifacts(tmp_path_factory):
         argv = ["train", "--config", str(cfg), *data, "--out", str(d / objective)]
         assert cli.run(argv).exit_code == 0, objective
         paths[f"train {objective}, final.ckpt"] = d / objective / "final.ckpt"
+    with pytest.MonkeyPatch.context() as mp:
+        # relative paths: each report names its checkpoint the same way on every run
+        mp.chdir(d)
+        reports = _eval_reports(read_groups_jsonl("corpus/heldout.jsonl"), "multi")
+    paths.update((name, d / path) for name, path in reports.items())
     return paths
+
+
+def _write_lines(path: str, lines) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+    return path
+
+
+def _eval_reports(heldout, run: str) -> dict:
+    """Run each eval task on the 2-epoch run `run`; the report path of each DIGESTS entry.
+
+    Mining scores the 500 h0 lines against all 3,000 seen-language
+    lines: 1.5M similarities, more than one block of evaluation._top1.
+    """
+    h0 = [g.texts["h0"] for g in heldout]
+    l0 = [g.texts["l0"] for g in heldout]
+    seen = sorted(lang for lang in heldout[0].texts if lang != "h0")
+    classes = range(0, len(heldout), 20)
+    # STS: a held-out sentence against a pivot sentence whose first m words
+    # are its own concept's and the rest the next concept's; gold m / 8
+    sts = []
+    for i, text in enumerate(h0):
+        m = i % 9
+        mixed = l0[i].split()[:m] + l0[(i + 1) % len(l0)].split()[m:]
+        sts.append(f"{text}\t{' '.join(mixed)}\t{m / 8!r}")
+    argvs = {
+        "eval retrieval --checkpoint-dir --both-directions": [
+            "retrieval", "--checkpoint-dir", run, "--both-directions",
+            "--dev-src", _write_lines("dev_src.txt", h0[:100]),
+            "--dev-tgt", _write_lines("dev_tgt.txt", l0[:100]),
+            "--src", _write_lines("src.txt", h0[100:]),
+            "--tgt", _write_lines("tgt.txt", l0[100:]),
+        ],
+        "eval mine": [
+            "mine", "--checkpoint", os.path.join(run, "final.ckpt"),
+            "--src", _write_lines("mine_src.txt", h0),
+            "--tgt", _write_lines("mine_tgt.txt", (g.texts[lang] for lang in seen for g in heldout)),
+            "--gold", _write_lines("mine_gold.tsv", (f"{i}\t{i}" for i in range(len(h0)))),
+        ],
+        "eval sts": [
+            "sts", "--checkpoint", os.path.join(run, "final.ckpt"),
+            "--pairs", _write_lines("sts.tsv", sts),
+        ],
+        "eval classify": [
+            "classify", "--checkpoint", os.path.join(run, "final.ckpt"),
+            "--train-file", _write_lines(
+                "cls_train.tsv", (f"c{c}\t{heldout[c].texts[lang]}" for c in classes for lang in seen)
+            ),
+            "--test-file", _write_lines("cls_test.tsv", (f"c{c}\t{h0[c]}" for c in classes)),
+        ],
+    }
+    reports = {}
+    for name, argv in argvs.items():
+        reports[name] = f"eval_{argv[0]}.json"
+        assert cli.run(["eval", "--task", *argv, "--out", reports[name]]).exit_code == 0, name
+    return reports
 
 
 @pytest.mark.parametrize("name", list(DIGESTS))

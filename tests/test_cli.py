@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 import zlib
 from collections import Counter
@@ -17,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multipos import cli
+from multipos import evaluation as evaluation_mod
 from multipos.data import (
     PairRecord,
     SentenceGroup,
@@ -41,7 +43,7 @@ from multipos.evaluation import (
     retrieval_accuracy,
     sts_eval,
 )
-from multipos.train import load_config, train
+from multipos.train import TrainConfig, init_params, load_config, train
 
 
 def _write(path, text):
@@ -528,7 +530,7 @@ def test_eval_corrupt_checkpoint_is_data_error(epochs_run, tmp_path, capsys, mod
     (ckpt_dir / "epoch_0001.ckpt").write_bytes((run_dir / "epoch_0001.ckpt").read_bytes())
     (ckpt_dir / "epoch_0002.ckpt").write_bytes(bytes(data))
     if damage in ("nan", "inf"):  # a valid CRC over a table of NaN or inf
-        params, state = load_checkpoint(str(ckpt_dir / "epoch_0002.ckpt"))
+        params, state = load_checkpoint(str(ckpt_dir / "epoch_0002.ckpt"), moments=True)
         params.embedding_table[:] = float(damage)
         save_checkpoint(params, state, str(ckpt_dir / "epoch_0002.ckpt"))
     if mode == "--checkpoint":
@@ -729,6 +731,45 @@ def test_eval_tokenizes_each_input_line_once(epochs_run, tokenized, tmp_path):
     lines = [line for flag in flags for line in _lines(files[flag])]
     assert len(set(lines)) == len(lines)
     assert sorted(tokenized) == sorted(lines)
+
+
+@pytest.fixture(scope="module")
+def wide_eval(tmp_path_factory):
+    """3,000 aligned lines and a run of two epoch checkpoints at hash_bits 15."""
+    d = tmp_path_factory.mktemp("wide_eval")
+    rng = np.random.default_rng(8)
+    files = {}
+    for name in ("src", "tgt"):
+        words = rng.integers(5000, size=(3000, 8))
+        files[name] = _write(d / f"{name}.txt", "".join(" ".join(f"w{w}" for w in row) + "\n" for row in words))
+    files["gold"] = _write(d / "gold.tsv", "".join(f"{i}\t{i}\n" for i in range(3000)))
+    (d / "run").mkdir()
+    cfg = TrainConfig(hash_bits=15)
+    for epoch in (1, 2):
+        params = init_params(cfg, epoch)
+        save_checkpoint(params, OptimizerState.fresh(params), str(d / "run" / f"epoch_{epoch:04d}.ckpt"))
+    return d / "run", files
+
+
+@pytest.mark.parametrize("task", ["mine", "retrieval"])
+def test_eval_holds_two_tables_and_a_few_blocks(wide_eval, tmp_path, task):
+    # a 3,000 x 3,000 float64 similarity matrix takes 72 MB and a checkpoint's
+    # table, m and v 24 MB; eval keeps the table and 4 MB blocks of similarities
+    run_dir, files = wide_eval
+    table = 4 * (1 << 15) * TrainConfig().dim
+    block = 8 * evaluation_mod._BLOCK_VALUES
+    if task == "mine":
+        argv = ["--checkpoint", str(run_dir / "epoch_0001.ckpt"), *_flag_args(files, ["src", "tgt", "gold"])]
+    else:  # selection holds the best table while the next one loads
+        argv = ["--checkpoint-dir", str(run_dir), *_flag_args(files, ["src", "tgt"]),
+                "--dev-src", files["src"], "--dev-tgt", files["tgt"]]
+    tracemalloc.start()
+    try:
+        assert cli.run(["eval", "--task", task, *argv, "--out", str(tmp_path / "report.json")]).exit_code == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table + 4 * block
 
 
 @pytest.mark.parametrize("mode", ["checkpoint", "checkpoint-dir"])

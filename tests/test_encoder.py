@@ -385,8 +385,8 @@ def test_adam_matches_dense_oracle_after_resume(tmp_path, monkeypatch, chunk_val
     save_checkpoint(params, state, path)
     assert state.live == 4  # rows 0-3: the last row with a gradient is 3
 
-    resumed = load_checkpoint(path)
-    oracle = load_checkpoint(path)
+    resumed = load_checkpoint(path, moments=True)
+    oracle = load_checkpoint(path, moments=True)
     assert resumed[1].live is None  # derived from the moments at the next step
     # a step without table gradient updates rows 0-10: the -0.0 in row 10 is a set bit
     grads = ParamGrads(np.zeros(0, dtype=np.intp), np.zeros((0, 4)), rng.normal(size=(4, 4)))
@@ -420,7 +420,7 @@ def test_checkpoint_round_trip(tmp_path):
     params, state = _trained_pair()
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(params, state, path)
-    params2, state2 = load_checkpoint(path)
+    params2, state2 = load_checkpoint(path, moments=True)
     assert params2.hash_bits == params.hash_bits and params2.dim == params.dim
     assert np.array_equal(params2.embedding_table, params.embedding_table)
     assert np.array_equal(params2.projection, params.projection)
@@ -463,19 +463,64 @@ def test_checkpoint_save_is_atomic(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize(
-    "array", ["embedding_table", "projection", "m_table", "m_projection", "v_table", "v_projection"]
-)
-def test_checkpoint_holding_nan_or_inf_is_refused(tmp_path, array, value):
-    # save_checkpoint writes any values with a valid CRC; load_checkpoint refuses a non-finite one
+@pytest.mark.parametrize("scratch_values", [None, 7])
+def test_checkpoint_without_moments_keeps_the_params(tmp_path, monkeypatch, scratch_values):
+    if scratch_values is not None:  # each 96-value moment table streams in 14 pieces
+        monkeypatch.setattr(encoder_mod, "_SCRATCH_VALUES", scratch_values)
+    params, state = _trained_pair()
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(params, state, path)
+    params2, state2 = load_checkpoint(path)
+    assert state2 is None
+    assert (params2.hash_bits, params2.dim) == (params.hash_bits, params.dim)
+    assert params2.embedding_table.tobytes() == params.embedding_table.tobytes()
+    assert params2.projection.tobytes() == params.projection.tobytes()
+
+
+def _saved_with(tmp_path, array, value):
+    """A checkpoint with a valid CRC whose `array` holds value in its last entry."""
     params, state = _trained_pair()
     getattr(params if hasattr(params, array) else state, array)[-1, -1] = value
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, state, str(path))
-    with pytest.raises(CheckpointError, match="non-finite values") as info:
-        load_checkpoint(str(path))
-    assert str(info.value).startswith(f"{path}: ")
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "array", ["embedding_table", "projection", "m_table", "m_projection", "v_table", "v_projection"]
+)
+def test_checkpoint_holding_nan_or_inf_is_refused(tmp_path, monkeypatch, array, value):
+    # save_checkpoint writes any values with a valid CRC; load_checkpoint refuses a
+    # non-finite one, in a moment it streams past too (in 14 pieces, the last one short)
+    monkeypatch.setattr(encoder_mod, "_SCRATCH_VALUES", 7)
+    path = _saved_with(tmp_path, array, value)
+    for moments in (False, True):
+        with pytest.raises(CheckpointError, match="non-finite values") as info:
+            load_checkpoint(str(path), moments=moments)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("moments", [False, True])
+def test_checkpoint_with_bad_crc_and_nan_moment_is_a_checksum_error(tmp_path, moments):
+    path = _saved_with(tmp_path, "v_table", np.nan)
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01  # inside the stored CRC
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointChecksumError, match="checksum mismatch"):
+        load_checkpoint(str(path), moments=moments)
+
+
+@pytest.mark.parametrize("moments", [False, True])
+def test_checkpoint_truncated_inside_v_table_is_a_checksum_error(tmp_path, moments):
+    params, state = _trained_pair()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, state, str(path))
+    blob = path.read_bytes()
+    v_table_end = len(blob) - 4 - 4 * params.dim**2  # before v_projection and the CRC
+    path.write_bytes(blob[: v_table_end - 4 * 10])
+    with pytest.raises(CheckpointChecksumError):
+        load_checkpoint(str(path), moments=moments)
 
 
 def test_checkpoint_error_cases(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,48 @@ def test_mining_validation():
         mine_pairs_f1(src, src, [(-1, 0)])
     with pytest.raises(ValueError):
         mine_pairs_f1(src, np.eye(4), [(0, 0)])
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_blocked_top1_matches_the_full_product(monkeypatch, block_rows):
+    # 23 source rows: 23 blocks of 1 row, or 7-row blocks and a last one of 2
+    monkeypatch.setattr(evaluation_mod, "_BLOCK_VALUES", block_rows * 23)
+    rng = np.random.default_rng(block_rows)
+    for _ in range(20):
+        # eighths of small integers: every dot product is exact in float64,
+        # so a block's products equal the full product's on any BLAS
+        src = rng.integers(-3, 4, size=(23, 4)) / 8.0
+        tgt = rng.integers(-3, 4, size=(23, 4)) / 8.0
+        # source 4 scores best against target 3 and its duplicates 5, 11 and
+        # 19: the tie goes to the lowest index
+        tgt[[3, 5, 11, 19]] = 3 / 8
+        src[4] = 1 / 8
+        sims = src @ tgt.T
+        best, scores = evaluation_mod._top1(src, tgt)
+        assert best.tolist() == sims.argmax(axis=1).tolist()
+        assert best[4] == 3
+        assert scores.tolist() == sims.max(axis=1).tolist()
+        assert retrieval_accuracy(src, tgt) == retrieval_oracle(src, tgt)
+        # nominations share scores: each shared score is one threshold
+        assert len(set(scores.tolist())) < len(scores)
+        gold = {(i, int(rng.integers(23))) for i in range(23) if rng.random() < 0.6} | {(4, 3)}
+        res = mine_pairs_f1(src, tgt, gold)
+        assert (res.f1, res.precision, res.recall, res.threshold) == mining_oracle(src, tgt, gold)
+
+
+def test_retrieval_and_mining_hold_one_block_of_similarities():
+    # 3,000 x 3,000 float64 similarities take 72 MB; one block takes 4 MB
+    rng = np.random.default_rng(5)
+    src, tgt = unit_rows(rng, 3000, 64), unit_rows(rng, 3000, 64)
+    gold = [(i, i) for i in range(3000)]
+    for score in (lambda: retrieval_accuracy(src, tgt), lambda: mine_pairs_f1(src, tgt, gold)):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_spearman_exact_values():

@@ -146,7 +146,7 @@ def test_zero_epochs_is_identity(tmp_path):
     assert res.records == []
     assert res.dropped_tail_groups == 0
     assert res.checkpoint_paths == [str(tmp_path / "final.ckpt")]
-    loaded, state = load_checkpoint(res.checkpoint_paths[0])
+    loaded, state = load_checkpoint(res.checkpoint_paths[0], moments=True)
     assert np.array_equal(loaded.embedding_table, init_params(cfg, cfg.seed).embedding_table)
     assert state.step == 0
 
