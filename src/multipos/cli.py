@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class UsageError(Exception):
 @dataclass
 class CommandOutcome:
     exit_code: int
-    artifacts: list[str] = field(default_factory=list)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,14 +73,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _write_report(report: dict, out: str | None) -> list[str]:
+def _check_out(out: str | None) -> None:
+    """Refuse a report path that cannot be written, before the command does any work."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"--out {out} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"--out {out}: no directory {parent}")
+
+
+def _write_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return [out]
-    sys.stdout.write(text)
-    return []
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_lang_file(values: list[str]) -> dict[str, str]:
@@ -96,7 +105,7 @@ def _parse_lang_file(values: list[str]) -> dict[str, str]:
     return out
 
 
-def _cmd_build_data(args) -> CommandOutcome:
+def _cmd_build_data(args) -> None:
     lang_paths = _parse_lang_file(args.lang)
     if len(lang_paths) < 2:
         raise UsageError("need at least two --lang LANG=PATH inputs")
@@ -111,10 +120,9 @@ def _cmd_build_data(args) -> CommandOutcome:
         f"dropped {len(result.dropped_keys)} incomplete keys",
         file=sys.stderr,
     )
-    return CommandOutcome(0, [args.out])
 
 
-def _cmd_to_pairs(args) -> CommandOutcome:
+def _cmd_to_pairs(args) -> None:
     groups = read_groups_jsonl(args.data)
     conv = groups_to_pairs(groups, args.seed)
     write_pairs_tsv(conv.pairs, args.out)
@@ -123,10 +131,9 @@ def _cmd_to_pairs(args) -> CommandOutcome:
         f"dropped {conv.dropped_sentences} odd leftover sentences",
         file=sys.stderr,
     )
-    return CommandOutcome(0, [args.out])
 
 
-def _cmd_synth(args) -> CommandOutcome:
+def _cmd_synth(args) -> None:
     vocab = args.vocab if args.vocab else args.concepts * args.sentence_len
     try:
         train_groups, eval_groups = gen_cipher_corpus(
@@ -138,13 +145,9 @@ def _cmd_synth(args) -> CommandOutcome:
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "groups.jsonl")
     write_groups_jsonl(train_groups, train_path)
-    artifacts = [train_path]
     if eval_groups:
-        heldout_path = os.path.join(args.out, "heldout.jsonl")
-        write_groups_jsonl(eval_groups, heldout_path)
-        artifacts.append(heldout_path)
+        write_groups_jsonl(eval_groups, os.path.join(args.out, "heldout.jsonl"))
     print(f"wrote {len(train_groups)} groups under {args.out}", file=sys.stderr)
-    return CommandOutcome(0, artifacts)
 
 
 def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
@@ -156,7 +159,7 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _cmd_train(args) -> CommandOutcome:
+def _cmd_train(args) -> None:
     # A new run beside an old one's checkpoints would leave epochs of both,
     # and eval --checkpoint-dir would choose among them.
     stale = epoch_checkpoints(args.out) + [p for p in [final_checkpoint(args.out)] if os.path.exists(p)]
@@ -170,7 +173,6 @@ def _cmd_train(args) -> CommandOutcome:
         f"trained {len(result.records)} steps; checkpoints: {', '.join(result.checkpoint_paths)}",
         file=sys.stderr,
     )
-    return CommandOutcome(0, result.checkpoint_paths)
 
 
 # Per eval task: the file flags its report reads, then the flags that stand
@@ -297,13 +299,14 @@ def _select(directory: str, score):
     return best_path, best_params, scores
 
 
-def _cmd_eval(args) -> CommandOutcome:
+def _cmd_eval(args) -> None:
     if bool(args.checkpoint) == bool(args.checkpoint_dir):
         raise UsageError("give exactly one of --checkpoint or --checkpoint-dir")
     if args.max_len < 1:
         raise UsageError(f"--max-len must be at least 1, got {args.max_len}")
     if args.threshold is not None and not np.isfinite(args.threshold):
         raise UsageError(f"--threshold must be finite, got {args.threshold}")
+    _check_out(args.out)
     report_flags, dev_flags = _EVAL_FLAGS[args.task]
     # one cache for every checkpoint, both directions and the report
     tokens = TokenCache()
@@ -317,7 +320,7 @@ def _cmd_eval(args) -> CommandOutcome:
         )
     report = _score(score, params, chosen)
     report.metadata.update(meta, checkpoint=chosen)
-    return CommandOutcome(0, _write_report(asdict(report), args.out))
+    _write_report(asdict(report), args.out)
 
 
 def _group_texts(groups: list[SentenceGroup], lang: str) -> list[str]:
@@ -327,7 +330,7 @@ def _group_texts(groups: list[SentenceGroup], lang: str) -> list[str]:
     return [g.texts[lang] for g in groups]
 
 
-def _cmd_compare(args) -> CommandOutcome:
+def _cmd_compare(args) -> None:
     # Desk-scale recipe: tau=1.0 keeps both objectives in their informative
     # regime (min-max output and raw cosine then share the range [-1, 1]),
     # so the arms differ only in grouping and normalization, not temperature.
@@ -339,6 +342,7 @@ def _cmd_compare(args) -> CommandOutcome:
     )
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
+    _check_out(args.out)
 
     groups = read_groups_jsonl(args.data)
     heldout = read_groups_jsonl(args.heldout)
@@ -409,7 +413,7 @@ def _cmd_compare(args) -> CommandOutcome:
     for seed in seeds:
         for name, cfg, groups_at in first_arms if seed == args.seed else arms_for(seed):
             t0 = time.perf_counter()
-            params = train(cfg, groups, dataset_fn=groups_at, tokens=tokens).params
+            params = train(cfg, groups_at, tokens=tokens).params
             wall[name] += time.perf_counter() - t0
             arms[name]["runs"].append({"seed": seed, **evaluate(params)})
             del params  # the next arm trains with no other model alive
@@ -429,7 +433,7 @@ def _cmd_compare(args) -> CommandOutcome:
         "config": {k: v for k, v in asdict(base).items()},
         "arms": arms,
     }
-    return CommandOutcome(0, _write_report(report, args.out))
+    _write_report(report, args.out)
 
 
 def build_parser() -> _Parser:
@@ -518,7 +522,8 @@ def run(argv: list[str]) -> CommandOutcome:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return CommandOutcome(0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return CommandOutcome(1)

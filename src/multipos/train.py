@@ -261,19 +261,18 @@ def final_checkpoint(directory: str) -> str:
 
 def train(
     cfg: TrainConfig,
-    groups: Sequence[SentenceGroup],
+    groups: Sequence[SentenceGroup] | Callable[[int], Sequence[SentenceGroup]],
     out_dir: str | None = None,
-    dataset_fn: Callable[[int], Sequence[SentenceGroup]] | None = None,
     tokens: TokenCache | None = None,
 ) -> TrainResult:
     """Run the full schedule over the dataset from fresh parameters.
 
-    With out_dir, each epoch appends its records to log.jsonl before
-    it saves epoch_NNNN.ckpt, and final.ckpt ends the run. dataset_fn,
-    when set, supplies the groups for each epoch (the single arm's
-    pairings); otherwise the static dataset is reused every epoch.
-    Every epoch tokenizes through `tokens`, a fresh TokenCache for the
-    run when none is given, so each distinct text is tokenized once.
+    `groups` is the dataset every epoch reuses, or a function from the
+    epoch to that epoch's groups (the single arm's pairings), called
+    once per epoch. With out_dir, each epoch appends its records to
+    log.jsonl before it saves epoch_NNNN.ckpt, and final.ckpt ends the
+    run. Every epoch tokenizes through `tokens`, a fresh TokenCache for
+    the run when none is given, so each distinct text is tokenized once.
 
     While training, the table and both moments are stored in the order
     batches first touch their rows (_FirstTouchOrder), so Adam runs on a
@@ -282,8 +281,7 @@ def train(
     order or made to run in hashed order (the clip norm), so the bytes
     equal those of training in hashed order.
     """
-    def epoch_groups(epoch: int) -> Sequence[SentenceGroup]:
-        return dataset_fn(epoch) if dataset_fn is not None else groups
+    epoch_groups = groups if callable(groups) else lambda epoch: groups
 
     # Fail on dataset/config mismatches before any step runs or any file
     # is made; make_batches checks every later epoch's groups the same way.

@@ -1,7 +1,9 @@
 """The byte gate: artifacts of the compare recipe keep their exact bytes.
 
 They are compare reports, train checkpoints, and eval reports scored
-from the 2-epoch multi run.
+from the 2-epoch multi run. Two more train checkpoints come from an
+off-recipe config (OFF_RECIPE) that runs the paths the recipe never
+does: tau below 1, hard negatives, gradient clipping and warm-up.
 
 A change that alters these bytes on purpose records the new digests in
 DIGESTS and says so. The bytes pass through BLAS products, so they may
@@ -16,8 +18,9 @@ import os
 import numpy as np
 import pytest
 
+from helpers import train_module
 from multipos import cli
-from multipos.data import read_groups_jsonl
+from multipos.data import attach_hard_negatives, read_groups_jsonl, write_groups_jsonl
 
 BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 
@@ -29,6 +32,9 @@ DIGESTS = {
     "compare --seeds 2 --epochs 1 --fixed-pairs": "960a843e8d765a86c5d6e3020499448ac5ab3e2e0055a3cd35a383552c0f32f8",
     "train multi, final.ckpt": "e0e8d7ac4c3b4f591f55bac60f83bc3f1fc4d05afc09372b952e907a546389c0",
     "train single, final.ckpt": "1ddd8ef2ef9feccabc75bcc7668807f251cb36e1c350a588ef0109a468a1686f",
+    # OFF_RECIPE on the corpus with hard negatives; see _with_hard_negatives
+    "train off-recipe min_max, final.ckpt": "c805aec0086690f95ba4b514fca33639943a8fe3de84cfec3a361273b65ba808",
+    "train off-recipe identity, final.ckpt": "86c7bed1f4fe74d7fc7ccb25b8ebf252a88a16cb4a13f1bfe19913f64972b6b2",
     # eval reports on the multi run; see _eval_reports
     "eval retrieval --checkpoint-dir --both-directions": "beba647d9c46992447803ba9e45003c0edf39ca236143b3cc8f623d2c89d459d",
     "eval mine": "28f78291f4c2f44a2bde60fb27d1e0204a59089d5d0920b55b0afd6f99510770",
@@ -43,6 +49,13 @@ QUICKSTART_FINAL = "a6a4fd3c6ff8f621d2c47f737a1d099920e9d9e502a22c3ce56ba55de699
 
 # compare's built-in recipe, as a train config
 RECIPE = dict(batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False, epochs=2)
+
+# a train config the recipe does not cover: tau != 1 takes the loss's
+# min-max path, the tight max_grad_norm clips steps, and warm-up runs
+OFF_RECIPE = dict(
+    batch_size=32, k_positives=5, lr_main=6e-3, hash_bits=15, epochs=2, tau=0.05, use_hard_negatives=True,
+    max_grad_norm=0.05, warmup_steps=5, lr_warmup=1e-3,
+)
 
 
 def _this_build() -> str:
@@ -72,12 +85,36 @@ def artifacts(tmp_path_factory):
         argv = ["train", "--config", str(cfg), *data, "--out", str(d / objective)]
         assert cli.run(argv).exit_code == 0, objective
         paths[f"train {objective}, final.ckpt"] = d / objective / "final.ckpt"
+    paths["off-recipe data"] = _with_hard_negatives(corpus / "groups.jsonl", d / "hard.jsonl")
+    for normalization in ("min_max", "identity"):
+        cfg = d / f"off_{normalization}.json"
+        cfg.write_text(json.dumps(dict(OFF_RECIPE, normalization=normalization)), encoding="utf-8")
+        argv = ["train", "--config", str(cfg), "--data", str(paths["off-recipe data"]),
+                "--out", str(d / f"off_{normalization}")]
+        assert cli.run(argv).exit_code == 0, normalization
+        paths[f"train off-recipe {normalization}, final.ckpt"] = d / f"off_{normalization}" / "final.ckpt"
     with pytest.MonkeyPatch.context() as mp:
         # relative paths: each report names its checkpoint the same way on every run
         mp.chdir(d)
         reports = _eval_reports(read_groups_jsonl("corpus/heldout.jsonl"), "multi")
     paths.update((name, d / path) for name, path in reports.items())
     return paths
+
+
+def _with_hard_negatives(src, dst):
+    """`src`'s groups with hard negatives, written to `dst`.
+
+    Per language, a group's hard negative is the first 4 words of its
+    sentence and the last 4 of the next group's (cyclically).
+    """
+    groups = read_groups_jsonl(str(src))
+    attach_hard_negatives(groups, [
+        (lang, g.id, " ".join(g.texts[lang].split()[:4] + nxt.texts[lang].split()[4:]))
+        for g, nxt in zip(groups, groups[1:] + groups[:1])
+        for lang in sorted(g.texts)
+    ])
+    write_groups_jsonl(groups, str(dst))
+    return dst
 
 
 def _write_lines(path: str, lines) -> str:
@@ -143,3 +180,21 @@ def test_compare_recipe_artifacts_keep_their_bytes(artifacts, name):
         f"{name}: sha256 {got[:8]}..., recorded {DIGESTS[name][:8]}... under {BUILD}; "
         f"this build is {_this_build()}"
     )
+
+
+def test_off_recipe_training_warms_up_and_clips(artifacts, monkeypatch):
+    """The off-recipe digests gate warm-up and the clip: both run in that training."""
+    fired = []
+    real = train_module._clip_grads
+
+    def spy(grads, max_norm):
+        before = grads.embedding_table.copy()
+        real(grads, max_norm)
+        fired.append(not np.array_equal(grads.embedding_table, before))
+
+    monkeypatch.setattr(train_module, "_clip_grads", spy)
+    cfg = train_module.load_config(OFF_RECIPE)
+    res = train_module.train(cfg, read_groups_jsonl(str(artifacts["off-recipe data"])))
+    assert [r.phase for r in res.records[:6]] == ["warmup"] * 5 + ["main"]
+    assert [r.objective for r in res.records[:6]] == ["single"] * 5 + ["multi"]
+    assert len(fired) == len(res.records) and any(fired)

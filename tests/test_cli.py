@@ -179,7 +179,7 @@ def test_synth_artifacts_and_determinism(tmp_path, capsys):
     out1 = cli.run(["synth", "--concepts", "30", "--langs", "4", "--seed", "3",
                     "--out", str(tmp_path / "d1")])
     assert out1.exit_code == 0
-    assert [p.rsplit("/", 1)[-1] for p in out1.artifacts] == ["groups.jsonl", "heldout.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "d1").iterdir()) == ["groups.jsonl", "heldout.jsonl"]
     assert "wrote 30 groups" in capsys.readouterr().err
 
     groups = read_groups_jsonl(str(tmp_path / "d1" / "groups.jsonl"))
@@ -194,8 +194,8 @@ def test_synth_artifacts_and_determinism(tmp_path, capsys):
     for name in ("groups.jsonl", "heldout.jsonl"):
         assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
 
-    out = cli.run(["synth", "--concepts", "5", "--heldout", "0", "--out", str(tmp_path / "d3")])
-    assert [p.rsplit("/", 1)[-1] for p in out.artifacts] == ["groups.jsonl"]
+    assert cli.run(["synth", "--concepts", "5", "--heldout", "0", "--out", str(tmp_path / "d3")]).exit_code == 0
+    assert [p.name for p in (tmp_path / "d3").iterdir()] == ["groups.jsonl"]
 
     capsys.readouterr()
     for flags in (["--fresh-rate", "2.0"], ["--concepts", "0"], ["--langs", "0"], ["--heldout", "-1"],
@@ -315,7 +315,7 @@ def test_eval_retrieval_report(trained):
     out = cli.run(["eval", "--task", "retrieval", "--checkpoint", str(run_dir / "final.ckpt"),
                    "--src", src, "--tgt", tgt, "--both-directions", "--out", str(report_path)])
     assert out.exit_code == 0
-    assert out.artifacts == [str(report_path)]
+    assert report_path.is_file()
     report = json.loads(report_path.read_text())
     assert report["task"] == "retrieval"
     assert 0.0 <= report["overall"] <= 1.0
@@ -869,6 +869,48 @@ def test_compare_checks_the_single_arm_fit_before_training(tmp_path, monkeypatch
     assert calls == []
 
 
+def _unusable_outs(tmp_path):
+    """Report paths no run could write, with what the refusal says of each."""
+    (tmp_path / "a_dir").mkdir()
+    missing = tmp_path / "missing" / "report.json"
+    return [(missing, f"--out {missing}: no directory {missing.parent}"),
+            (tmp_path / "a_dir", f"--out {tmp_path / 'a_dir'} is a directory")]
+
+
+def test_compare_refuses_an_unusable_out_before_training(tmp_path, monkeypatch, capsys):
+    data, heldout = _synth_corpus(tmp_path)
+    argv = ["compare", "--data", data, "--heldout", heldout, "--config", _compare_config(tmp_path), "--seeds", "1"]
+    outs = _unusable_outs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+    for name in ("train", "read_groups_jsonl"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *args, name=name, real=real, **kwargs: calls.append(name) or real(*args, **kwargs)
+        )
+    capsys.readouterr()
+    for out, says in outs:
+        assert cli.run([*argv, "--out", str(out)]).exit_code == 2
+        assert f"data error: {says}" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_eval_refuses_an_unusable_out_before_reading_a_checkpoint(trained, load_calls, monkeypatch, capsys):
+    tmp_path, run_dir, src, tgt = trained
+    outs = _unusable_outs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    read, real = [], cli.read_lines
+    monkeypatch.setattr(cli, "read_lines", lambda path: read.append(path) or real(path))
+    for out, says in outs:
+        argv = ["eval", "--task", "retrieval", "--checkpoint-dir", str(run_dir), "--src", src, "--tgt", tgt,
+                "--dev-src", src, "--dev-tgt", tgt, "--out", str(out)]
+        assert cli.run(argv).exit_code == 2
+        assert f"data error: {says}" in capsys.readouterr().err
+    assert load_calls == [] and read == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_compare_pivot_must_be_a_seen_language(tmp_path, monkeypatch, capsys):
     data, heldout = _synth_corpus(tmp_path)
     cfg = _compare_config(tmp_path)
@@ -906,14 +948,14 @@ def test_compare_single_arm_trains_on_each_sentence_at_most_once(tmp_path, monke
     real = cli.train
     used = []  # (epoch, the single arm's groups), as training asked for them
 
-    def captured(cfg, data, dataset_fn=None, **kwargs):
+    def captured(cfg, groups_at, **kwargs):
         if cfg.objective == "single":
             def recorded(epoch):
-                used.append((epoch, dataset_fn(epoch)))
+                used.append((epoch, groups_at(epoch)))
                 return used[-1][1]
 
-            return real(cfg, data, dataset_fn=recorded, **kwargs)
-        return real(cfg, data, dataset_fn=dataset_fn, **kwargs)
+            return real(cfg, recorded, **kwargs)
+        return real(cfg, groups_at, **kwargs)
 
     monkeypatch.setattr(cli, "train", captured)
     argv = ["compare", "--data", str(corpus / "groups.jsonl"), "--heldout", str(corpus / "heldout.jsonl"),

@@ -224,7 +224,7 @@ def test_dataset_mismatch_is_the_same_at_every_epoch():
         messages = []
         for bad_epoch in (0, 1):
             with pytest.raises(DatasetMismatchError) as info:
-                train(cfg, [], dataset_fn=lambda epoch: bad if epoch == bad_epoch else good)
+                train(cfg, lambda epoch: bad if epoch == bad_epoch else good)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -266,16 +266,23 @@ def test_a_failed_run_logs_the_steps_it_finished(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_0001.ckpt", "log.jsonl"]
 
 
-def test_dataset_fn_supplies_each_epoch():
+def test_groups_function_supplies_each_epoch(tmp_path):
+    # called once per epoch, epoch 0 once though the fit check reads it
+    # first, and the same groups as a list give the same run
+    groups = _groups(4)
     calls = []
 
     def per_epoch(epoch):
         calls.append(epoch)
-        return _groups(4)
+        return groups
 
-    res = train(_small_cfg(epochs=3), [], dataset_fn=per_epoch)
+    cfg = _small_cfg(epochs=3)
+    res = train(cfg, per_epoch, out_dir=str(tmp_path / "fn"))
     assert calls == [0, 1, 2]
     assert len(res.records) == 3
+    static = train(cfg, groups, out_dir=str(tmp_path / "list"))
+    assert [r.loss for r in res.records] == [r.loss for r in static.records]
+    assert (tmp_path / "fn" / "final.ckpt").read_bytes() == (tmp_path / "list" / "final.ckpt").read_bytes()
 
 
 def test_training_tokenizes_each_distinct_text_once(tokenized):
@@ -363,7 +370,7 @@ def test_training_matches_dense_oracle(monkeypatch, objective):
         objective=objective, hash_bits=10,
     )
     trace = _spy_prefix(monkeypatch)
-    sparse = train(cfg, [], dataset_fn=_oracle_groups)
+    sparse = train(cfg, _oracle_groups)
     # every step relabelled, and Adam ran on exactly the rows touched so
     # far, a prefix of the table
     assert all(relabelled and live == seen for live, seen, relabelled in trace)
@@ -381,7 +388,7 @@ def test_training_matches_dense_oracle(monkeypatch, objective):
         train_mod, "encode_backward", lambda p, cache, g: dense_encode_backward(p, encoded[0], cache, g)
     )
     monkeypatch.setattr(train_mod, "adam_step", dense_adam_step)
-    dense = train(cfg, [], dataset_fn=_oracle_groups)
+    dense = train(cfg, _oracle_groups)
 
     assert [r.loss for r in sparse.records] == [r.loss for r in dense.records]
     assert sparse.opt_state.step == dense.opt_state.step == 6
@@ -411,7 +418,7 @@ def test_training_matches_hashed_order_oracle(tmp_path, monkeypatch, objective, 
 
     monkeypatch.setattr(train_mod, "_clip_grads", spy_clip)
     trace = _spy_prefix(monkeypatch)
-    got = train(cfg, [], out_dir=str(tmp_path / "got"), dataset_fn=_oracle_groups)
+    got = train(cfg, _oracle_groups, out_dir=str(tmp_path / "got"))
     (tmp_path / "want").mkdir()
     params, opt, losses = hashed_train(cfg, _oracle_groups, str(tmp_path / "want"))
 
