@@ -145,8 +145,13 @@ def _cmd_synth(args) -> None:
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "groups.jsonl")
     write_groups_jsonl(train_groups, train_path)
+    heldout_path = os.path.join(args.out, "heldout.jsonl")
     if eval_groups:
-        write_groups_jsonl(eval_groups, os.path.join(args.out, "heldout.jsonl"))
+        write_groups_jsonl(eval_groups, heldout_path)
+    elif os.path.exists(heldout_path):
+        # an earlier corpus's held-out file would pass for this one's
+        os.remove(heldout_path)
+        print(f"removed {heldout_path}: this corpus has no held-out languages", file=sys.stderr)
     print(f"wrote {len(train_groups)} groups under {args.out}", file=sys.stderr)
 
 

@@ -269,6 +269,11 @@ def make_batches(
         yield flush(chunk)
 
 
+# concepts gen_cipher_corpus formats at a time: a block's words are
+# temporaries, and larger blocks raise the peak memory without running faster
+_SYNTH_BLOCK = 64
+
+
 def gen_cipher_corpus(
     n_concepts: int,
     sentence_len: int,
@@ -296,8 +301,10 @@ def gen_cipher_corpus(
     evaluation groups carrying the held-out languages plus the training
     languages for the same concepts).
     """
-    if min(n_concepts, sentence_len, n_langs, vocab_size) < 1:
-        raise ValueError("n_concepts, sentence_len, n_langs and vocab_size must all be >= 1")
+    if min(n_concepts, sentence_len, vocab_size) < 1:
+        raise ValueError("n_concepts, sentence_len and vocab_size must all be >= 1")
+    if n_langs < 2:
+        raise ValueError(f"n_langs must be at least 2, since a group pairs its sentences; got {n_langs}")
     if n_heldout_langs < 0:
         raise ValueError(f"n_heldout_langs must be >= 0, got {n_heldout_langs}")
     if not 0.0 <= heldout_fresh_rate <= 1.0:
@@ -310,40 +317,39 @@ def gen_cipher_corpus(
         )
     rng = np.random.default_rng(seed)
     alphabet = rng.permutation(vocab_size)
-    concepts = [alphabet[g * sentence_len : (g + 1) * sentence_len] for g in range(n_concepts)]
-
     train_langs = [f"l{i}" for i in range(n_langs)]
-    renames = {lang: rng.permutation(vocab_size) for lang in train_langs}
-
-    def surface(lang: str, symbol: int) -> str:
-        return f"{lang}w{renames[lang][symbol]}"
-
+    renames = [rng.permutation(vocab_size) for _ in train_langs]
     heldout_langs = [f"h{i}" for i in range(n_heldout_langs)]
-    heldout_renames = {lang: rng.permutation(vocab_size) for lang in heldout_langs}
-    heldout_source = {
-        lang: rng.integers(n_langs, size=vocab_size) for lang in heldout_langs
-    }
-    heldout_fresh = {
-        lang: rng.random(vocab_size) < heldout_fresh_rate for lang in heldout_langs
-    }
-
-    def heldout_surface(lang: str, symbol: int) -> str:
-        if heldout_fresh[lang][symbol]:
-            return f"{lang}w{heldout_renames[lang][symbol]}"
-        return surface(train_langs[int(heldout_source[lang][symbol])], symbol)
+    heldout_renames = [rng.permutation(vocab_size) for _ in heldout_langs]
+    heldout_source = [rng.integers(n_langs, size=vocab_size) for _ in heldout_langs]
+    heldout_fresh = [rng.random(vocab_size) < heldout_fresh_rate for _ in heldout_langs]
 
     train_groups = []
     eval_groups = []
-    for g, seq in enumerate(concepts):
-        gid = f"c{g:06d}"
-        texts = {lang: " ".join(surface(lang, int(c)) for c in seq) for lang in train_langs}
-        train_groups.append(SentenceGroup(id=gid, texts=dict(texts)))
-        if heldout_langs:
-            held = {
-                lang: " ".join(heldout_surface(lang, int(c)) for c in seq)
-                for lang in heldout_langs
-            }
-            eval_groups.append(SentenceGroup(id=gid, texts={**texts, **held}))
+    # Each word is formatted once; a held-out word that is not fresh is
+    # its source language's word.
+    for first in range(0, n_concepts, _SYNTH_BLOCK):
+        n = min(_SYNTH_BLOCK, n_concepts - first)
+        symbols = alphabet[first * sentence_len : (first + n) * sentence_len]
+        forms = np.array(
+            [[f"{lang}w{s}" for s in rename[symbols].tolist()] for lang, rename in zip(train_langs, renames)],
+            dtype=object,
+        )
+        held_words = []
+        for lang, rename, source, fresh in zip(heldout_langs, heldout_renames, heldout_source, heldout_fresh):
+            words = forms[source[symbols], np.arange(len(symbols))]  # each symbol's borrowed form
+            is_fresh = fresh[symbols]
+            words[is_fresh] = [f"{lang}w{s}" for s in rename[symbols[is_fresh]].tolist()]
+            held_words.append(words.tolist())
+        train_words = forms.tolist()
+        for g in range(n):
+            gid = f"c{first + g:06d}"
+            lo, hi = g * sentence_len, (g + 1) * sentence_len
+            texts = {lang: " ".join(w[lo:hi]) for lang, w in zip(train_langs, train_words)}
+            train_groups.append(SentenceGroup(id=gid, texts=texts))
+            if heldout_langs:
+                held = {lang: " ".join(w[lo:hi]) for lang, w in zip(heldout_langs, held_words)}
+                eval_groups.append(SentenceGroup(id=gid, texts={**texts, **held}))
     return train_groups, eval_groups
 
 
@@ -373,12 +379,14 @@ def read_aligned_corpus(lang_paths: dict[str, str]) -> list[tuple[str, str, str]
 
 
 def write_groups_jsonl(groups: Sequence[SentenceGroup], path: str) -> None:
+    # json.dumps(obj, ensure_ascii=False) builds an encoder per call; build one
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         for g in groups:
             obj = {"id": g.id, "texts": g.texts}
             if g.hard_negatives:
                 obj["hard_negatives"] = g.hard_negatives
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def read_groups_jsonl(path: str) -> list[SentenceGroup]:

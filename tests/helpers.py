@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from multipos.data import make_batches
+from multipos.data import SentenceGroup, make_batches
 from multipos.encoder import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -438,3 +438,45 @@ def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
         save_checkpoint(params, opt, os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt"))
     save_checkpoint(params, opt, os.path.join(out_dir, "final.ckpt"))
     return params, opt, losses
+
+
+def cipher_corpus_oracle(
+    n_concepts, sentence_len, n_langs, n_heldout_langs, vocab_size, seed, *, heldout_fresh_rate=0.5
+):
+    """gen_cipher_corpus computed one symbol at a time, for valid arguments.
+
+    The same draws in the same order; then each word is looked up and
+    formatted per symbol, a held-out word through its own rename where
+    fresh and its source language's otherwise. It shares no block,
+    gather or object array with the library.
+    """
+    rng = np.random.default_rng(seed)
+    alphabet = rng.permutation(vocab_size)
+    concepts = [alphabet[g * sentence_len : (g + 1) * sentence_len] for g in range(n_concepts)]
+
+    train_langs = [f"l{i}" for i in range(n_langs)]
+    renames = {lang: rng.permutation(vocab_size) for lang in train_langs}
+
+    def surface(lang, symbol):
+        return f"{lang}w{renames[lang][symbol]}"
+
+    heldout_langs = [f"h{i}" for i in range(n_heldout_langs)]
+    heldout_renames = {lang: rng.permutation(vocab_size) for lang in heldout_langs}
+    heldout_source = {lang: rng.integers(n_langs, size=vocab_size) for lang in heldout_langs}
+    heldout_fresh = {lang: rng.random(vocab_size) < heldout_fresh_rate for lang in heldout_langs}
+
+    def heldout_surface(lang, symbol):
+        if heldout_fresh[lang][symbol]:
+            return f"{lang}w{heldout_renames[lang][symbol]}"
+        return surface(train_langs[int(heldout_source[lang][symbol])], symbol)
+
+    train_groups = []
+    eval_groups = []
+    for g, seq in enumerate(concepts):
+        gid = f"c{g:06d}"
+        texts = {lang: " ".join(surface(lang, int(c)) for c in seq) for lang in train_langs}
+        train_groups.append(SentenceGroup(id=gid, texts=dict(texts)))
+        if heldout_langs:
+            held = {lang: " ".join(heldout_surface(lang, int(c)) for c in seq) for lang in heldout_langs}
+            eval_groups.append(SentenceGroup(id=gid, texts={**texts, **held}))
+    return train_groups, eval_groups

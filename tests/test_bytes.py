@@ -1,14 +1,16 @@
 """The byte gate: artifacts of the compare recipe keep their exact bytes.
 
-They are compare reports, train checkpoints, and eval reports scored
-from the 2-epoch multi run. Two more train checkpoints come from an
-off-recipe config (OFF_RECIPE) that runs the paths the recipe never
-does: tau below 1, hard negatives, gradient clipping and warm-up.
+They are the synth corpus and the off-recipe data file, compare
+reports, train checkpoints, and eval reports scored from the 2-epoch
+multi run. Two more train checkpoints come from an off-recipe config
+(OFF_RECIPE) that runs the paths the recipe never does: tau below 1,
+hard negatives, gradient clipping and warm-up.
 
 A change that alters these bytes on purpose records the new digests in
-DIGESTS and says so. The bytes pass through BLAS products, so they may
-also differ under another numpy or BLAS build, or on a CPU whose kernels
-OpenBLAS picks differently; BUILD names the build they were recorded with.
+DIGESTS and says so. The checkpoints and reports pass through BLAS
+products, so they may also differ under another numpy or BLAS build, or
+on a CPU whose kernels OpenBLAS picks differently; BUILD names the build
+they were recorded with.
 """
 
 import hashlib
@@ -27,6 +29,12 @@ BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 # SHA-256 of each artifact built from `synth --concepts 500 --langs 6
 # --heldout 1 --seed 7`
 DIGESTS = {
+    # the corpus itself, and the off-recipe data (see _with_hard_negatives):
+    # text written by the generator and the group writer, so no BLAS build
+    # changes these three
+    "synth groups.jsonl": "951b5cfe8b2305280bfd837a574597434539d977e706966698c4f0fa732c5418",
+    "synth heldout.jsonl": "1402f7039585ba5be3e20f70919c7377dab5cf4ee38d5a689caa5dd51586582f",
+    "off-recipe data hard.jsonl": "0e3fee782e9be7a595d9bcd9143b1ddd3867aee6c9237b5b9a740e13a28336b5",
     "compare --seeds 1 --epochs 2": "d086112f86266f642525ad3538370f033a4ca18e8d704f873be8ddd38f3cfcba",
     "compare --seeds 2 --epochs 1": "c2fcde0b894fae3d0a0fdc85e8f551cff7e4529427aae51fa2478cad3069d095",
     "compare --seeds 2 --epochs 1 --fixed-pairs": "960a843e8d765a86c5d6e3020499448ac5ab3e2e0055a3cd35a383552c0f32f8",
@@ -74,7 +82,7 @@ def artifacts(tmp_path_factory):
     assert cli.run(["synth", "--concepts", "500", "--langs", "6", "--heldout", "1", "--seed", "7",
                     "--out", str(corpus)]).exit_code == 0
     data = ["--data", str(corpus / "groups.jsonl")]
-    paths = {}
+    paths = {f"synth {name}": corpus / name for name in ("groups.jsonl", "heldout.jsonl")}
     for i, name in enumerate(n for n in DIGESTS if n.startswith("compare")):
         paths[name] = d / f"report{i}.json"
         argv = [*name.split(), *data, "--heldout", str(corpus / "heldout.jsonl"), "--out", str(paths[name])]
@@ -85,11 +93,11 @@ def artifacts(tmp_path_factory):
         argv = ["train", "--config", str(cfg), *data, "--out", str(d / objective)]
         assert cli.run(argv).exit_code == 0, objective
         paths[f"train {objective}, final.ckpt"] = d / objective / "final.ckpt"
-    paths["off-recipe data"] = _with_hard_negatives(corpus / "groups.jsonl", d / "hard.jsonl")
+    paths["off-recipe data hard.jsonl"] = _with_hard_negatives(corpus / "groups.jsonl", d / "hard.jsonl")
     for normalization in ("min_max", "identity"):
         cfg = d / f"off_{normalization}.json"
         cfg.write_text(json.dumps(dict(OFF_RECIPE, normalization=normalization)), encoding="utf-8")
-        argv = ["train", "--config", str(cfg), "--data", str(paths["off-recipe data"]),
+        argv = ["train", "--config", str(cfg), "--data", str(paths["off-recipe data hard.jsonl"]),
                 "--out", str(d / f"off_{normalization}")]
         assert cli.run(argv).exit_code == 0, normalization
         paths[f"train off-recipe {normalization}, final.ckpt"] = d / f"off_{normalization}" / "final.ckpt"
@@ -194,7 +202,7 @@ def test_off_recipe_training_warms_up_and_clips(artifacts, monkeypatch):
 
     monkeypatch.setattr(train_module, "_clip_grads", spy)
     cfg = train_module.load_config(OFF_RECIPE)
-    res = train_module.train(cfg, read_groups_jsonl(str(artifacts["off-recipe data"])))
+    res = train_module.train(cfg, read_groups_jsonl(str(artifacts["off-recipe data hard.jsonl"])))
     assert [r.phase for r in res.records[:6]] == ["warmup"] * 5 + ["main"]
     assert [r.objective for r in res.records[:6]] == ["single"] * 5 + ["multi"]
     assert len(fired) == len(res.records) and any(fired)

@@ -206,6 +206,28 @@ def test_synth_artifacts_and_determinism(tmp_path, capsys):
     assert not (tmp_path / "d4").exists()
 
 
+def test_synth_without_heldout_languages_removes_a_stale_heldout_file(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert cli.run(["synth", "--concepts", "20", "--heldout", "1", "--seed", "1", "--out", str(out)]).exit_code == 0
+    assert (out / "heldout.jsonl").exists()
+    capsys.readouterr()
+    assert cli.run(["synth", "--concepts", "30", "--heldout", "0", "--seed", "2", "--out", str(out)]).exit_code == 0
+    assert [p.name for p in out.iterdir()] == ["groups.jsonl"]
+    assert f"removed {out / 'heldout.jsonl'}: this corpus has no held-out languages" in capsys.readouterr().err
+    # compare finds no held-out file rather than the seed-1 corpus's
+    argv = ["compare", "--data", str(out / "groups.jsonl"), "--heldout", str(out / "heldout.jsonl"),
+            "--seeds", "1", "--epochs", "1"]
+    assert cli.run(argv).exit_code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_synth_needs_two_languages(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert cli.run(["synth", "--concepts", "20", "--langs", "1", "--out", str(out)]).exit_code == 1
+    assert "usage error: n_langs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_data_and_hard_negatives(tmp_path, capsys):
     en = _write(tmp_path / "en.txt", "one\ntwo\n\nfour\n")
     de = _write(tmp_path / "de.txt", "eins\nzwei\ndrei\nvier\n")

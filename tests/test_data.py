@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import cipher_corpus_oracle
+from multipos import data as data_mod
 from multipos.data import (
     DataFormatError,
     PairRecord,
@@ -326,16 +329,65 @@ def test_cipher_corpus_validation():
         gen_cipher_corpus(10, 4, 2, -1, 40, seed=0)
     with pytest.raises(ValueError):
         gen_cipher_corpus(0, 4, 2, 1, 40, seed=0)
+    for n_langs in (1, 0):
+        with pytest.raises(ValueError, match=f"n_langs must be at least 2, .*got {n_langs}"):
+            gen_cipher_corpus(10, 4, n_langs, 1, 40, seed=0)
+
+
+def _as_written(groups):
+    """Each group as its file line sees it: id, then texts in dict order."""
+    return [(g.id, list(g.texts.items())) for g in groups]
+
+
+@given(
+    n_concepts=st.integers(1, 40),
+    sentence_len=st.integers(1, 6),
+    n_langs=st.integers(2, 7),
+    n_heldout=st.integers(0, 3),
+    spare=st.floats(0.0, 1.0),
+    fresh_rate=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cipher_corpus_matches_the_per_symbol_oracle(n_concepts, sentence_len, n_langs, n_heldout, spare,
+                                                     fresh_rate, seed):
+    # vocab_size from exactly the symbols the concepts need up to twice that
+    needed = n_concepts * sentence_len
+    args = (n_concepts, sentence_len, n_langs, n_heldout, needed + int(spare * needed), seed)
+    got = gen_cipher_corpus(*args, heldout_fresh_rate=fresh_rate)
+    want = cipher_corpus_oracle(*args, heldout_fresh_rate=fresh_rate)
+    assert [_as_written(groups) for groups in got] == [_as_written(groups) for groups in want]
+
+
+@pytest.mark.parametrize("sentence_len", [1, 2])
+@pytest.mark.parametrize(
+    "blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+    ids=["block-minus-1", "block", "block-plus-1", "2-blocks-plus-1"],
+)
+def test_cipher_corpus_across_block_boundaries(blocks, extra, sentence_len):
+    n_concepts = blocks * data_mod._SYNTH_BLOCK + extra
+    args = (n_concepts, sentence_len, 3, 2, n_concepts * sentence_len + 7, 11)
+    got = gen_cipher_corpus(*args, heldout_fresh_rate=0.4)
+    want = cipher_corpus_oracle(*args, heldout_fresh_rate=0.4)
+    assert len(got[0]) == len(got[1]) == n_concepts
+    assert [_as_written(groups) for groups in got] == [_as_written(groups) for groups in want]
 
 
 def test_groups_jsonl_round_trip(tmp_path):
     groups = [
         SentenceGroup("a", {"en": "naïve text", "ja": "日本語 テスト"}),
         SentenceGroup("b", {"en": "x", "de": "y"}, hard_negatives={"en": "not x"}),
+        SentenceGroup('q"b\\', {"en": 'say "hi"', "de": "line\u2028sep\ttab"}, hard_negatives={"en": "\u00e9\n"}),
     ]
-    path = str(tmp_path / "groups.jsonl")
-    write_groups_jsonl(groups, path)
-    back = read_groups_jsonl(path)
+    path = tmp_path / "groups.jsonl"
+    write_groups_jsonl(groups, str(path))
+    # each line is what json.dumps(obj, ensure_ascii=False) writes
+    want = [json.dumps(obj, ensure_ascii=False) for obj in (
+        {"id": "a", "texts": groups[0].texts},
+        {"id": "b", "texts": groups[1].texts, "hard_negatives": groups[1].hard_negatives},
+        {"id": groups[2].id, "texts": groups[2].texts, "hard_negatives": groups[2].hard_negatives},
+    )]
+    assert path.read_text(encoding="utf-8").split("\n") == [*want, ""]
+    back = read_groups_jsonl(str(path))
     assert back == groups
 
 
@@ -349,6 +401,54 @@ def test_groups_jsonl_errors(tmp_path):
         read_groups_jsonl(str(path))
     path.write_text('\n{"id": "a", "texts": {"en": "x", "de": "y"}}\n', encoding="utf-8")
     assert len(read_groups_jsonl(str(path))) == 1  # blank lines skipped
+
+
+def _bad_record(operation) -> str:
+    """The reader's message for a record on which Python's `operation` fails."""
+    try:
+        operation()
+    except (KeyError, TypeError, AttributeError) as exc:
+        return f"bad group record ({exc})"
+    raise AssertionError("the operation did not fail")
+
+
+TWO = '"texts": {"a": "x", "b": "y"}'
+
+
+@pytest.mark.parametrize("record, message", [
+    ("not json", "invalid JSON (Expecting value)"),
+    (f'{{"id": "g", {TWO}', "invalid JSON (Expecting ',' delimiter)"),
+    # a record that is no JSON object fails on its "id"
+    ("[1, 2]", _bad_record(lambda: json.loads("[1, 2]")["id"])),
+    ('"abc"', _bad_record(lambda: json.loads('"abc"')["id"])),
+    ("5", _bad_record(lambda: json.loads("5")["id"])),
+    (f"{{{TWO}}}", "bad group record ('id')"),
+    ('{"id": "g"}', "bad group record ('texts')"),
+    ('{"id": "g", "texts": ["x", "y"]}', _bad_record(lambda: ["x", "y"].items())),
+    ('{"id": "g", "texts": "xy"}', _bad_record(lambda: "xy".items())),
+    ('{"id": "g", "texts": {"a": "x"}}', "bad group record (group 'g' needs at least 2 languages, got 1)"),
+    (f'{{"id": "g", {TWO}, "hard_negatives": ["x"]}}', _bad_record(lambda: ["x"].items())),
+    (f'{{"id": "g", {TWO}, "hard_negatives": "x"}}', _bad_record(lambda: "x".items())),
+])
+def test_read_groups_jsonl_names_each_bad_line(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"id": "ok", {TWO}}}\n{record}\n', encoding="utf-8")
+    with pytest.raises(DataFormatError) as err:
+        read_groups_jsonl(str(path))
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+def test_read_groups_jsonl_coerces_values_and_drops_empty_hard_negatives(tmp_path):
+    path = tmp_path / "groups.jsonl"
+    path.write_text(
+        f'{{"id": "g", {TWO}, "hard_negatives": {{}}}}\n'
+        '{"id": 7, "texts": {"a": 1, "b": 2.5, "c": null, "d": true}, "hard_negatives": {"a": 3}}\n',
+        encoding="utf-8",
+    )
+    assert read_groups_jsonl(str(path)) == [
+        SentenceGroup("g", {"a": "x", "b": "y"}),
+        SentenceGroup("7", {"a": "1", "b": "2.5", "c": "None", "d": "True"}, hard_negatives={"a": "3"}),
+    ]
 
 
 def _read_pairs(path):
