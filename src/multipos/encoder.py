@@ -301,10 +301,11 @@ class OptimizerState:
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "OptimizerState":
+        # np.zeros maps no page of a table moment until a step writes it
         return cls(
-            m_table=np.zeros_like(params.embedding_table),
+            m_table=np.zeros(params.embedding_table.shape, dtype=np.float32),
             m_projection=np.zeros_like(params.projection),
-            v_table=np.zeros_like(params.embedding_table),
+            v_table=np.zeros(params.embedding_table.shape, dtype=np.float32),
             v_projection=np.zeros_like(params.projection),
             live=0,
         )
@@ -391,15 +392,20 @@ def adam_step(
     return params, state
 
 
-def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> None:
+def save_checkpoint(
+    params: ModelParams, state: OptimizerState, path: str, *, rows: np.ndarray | None = None
+) -> None:
+    """Write params and state to path, the table rows in hashed order.
+
+    With rows, the table and its moments hold hashed row h at row
+    rows[h]; the file gathers them back a block of rows at a time.
+    """
     header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIII",
-        CHECKPOINT_VERSION,
-        params.hash_bits,
-        params.dim,
-        state.step,
+        "<IIII", CHECKPOINT_VERSION, params.hash_bits, params.dim, state.step
     )
     crc = zlib.crc32(header)
+    chunk = max(1, _CHUNK_VALUES // params.dim)
+    spans = [slice(lo, lo + chunk) for lo in range(0, len(params.embedding_table), chunk)]
     # write beside the target, then rename: a failed write leaves any
     # earlier file at path as it was
     tmp = path + ".tmp"
@@ -407,17 +413,14 @@ def save_checkpoint(params: ModelParams, state: OptimizerState, path: str) -> No
         with open(tmp, "wb") as fh:
             fh.write(header)
             # stream each array; the CRC runs over the same bytes as they go out
-            for a in (
-                params.embedding_table,
-                params.projection,
-                state.m_table,
-                state.m_projection,
-                state.v_table,
-                state.v_projection,
-            ):
-                data = memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B")
-                crc = zlib.crc32(data, crc)
-                fh.write(data)
+            tables = (params.embedding_table, state.m_table, state.v_table)
+            squares = (params.projection, state.m_projection, state.v_projection)
+            for table, square in zip(tables, squares):
+                blocks = (table[s if rows is None else rows[s]] for s in spans)
+                for a in itertools.chain(blocks, [square]):
+                    data = memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B")
+                    crc = zlib.crc32(data, crc)
+                    fh.write(data)
             fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
         os.replace(tmp, path)
     except BaseException:

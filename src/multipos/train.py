@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import SentenceGroup, TokenCache, check_fit, make_batches
 from .encoder import (
+    _CHUNK_VALUES,
     MAX_HASH_BITS,
     ModelParams,
     OptimizerState,
@@ -148,11 +149,15 @@ def schedule(step: int, cfg: TrainConfig) -> tuple[str, str, float]:
 def init_params(cfg: TrainConfig, seed) -> ModelParams:
     """Fresh parameters: uniform(-0.05, 0.05) table, identity projection."""
     rng = np.random.default_rng(seed)
-    rows = 1 << cfg.hash_bits
-    table = rng.uniform(-0.05, 0.05, size=(rows, cfg.dim)).astype(np.float32)
+    table = np.empty((1 << cfg.hash_bits, cfg.dim), dtype=np.float32)
     # float32 rounding can land exactly on the interval edge; keep it open.
     edge = np.nextafter(np.float32(0.05), np.float32(0.0))
-    np.clip(table, -edge, edge, out=table)
+    # a block at a time: uniform draws one double per value, in order
+    chunk = max(1, _CHUNK_VALUES // cfg.dim)
+    for lo in range(0, len(table), chunk):
+        block = table[lo : lo + chunk]
+        block[...] = rng.uniform(-0.05, 0.05, size=block.shape)
+        np.clip(block, -edge, edge, out=block)
     return ModelParams(table, np.eye(cfg.dim, dtype=np.float32), cfg.hash_bits, cfg.dim)
 
 
@@ -164,9 +169,9 @@ class _FirstTouchOrder:
     so the moments are zero from there on and Adam's update runs on that
     prefix. Before a batch is encoded, its unseen rows swap places with
     the untouched rows just past the prefix, and opt.live grows to cover
-    them: both sides have zero moments, so only table rows move. Each
-    batch's swaps are disjoint and are kept, so undoing them in reverse
-    restores hashed order in place, with no full-size copy.
+    them: both sides have zero moments, so only table rows move. Saves
+    gather hashed order through pos. Each batch's swaps are disjoint and
+    are kept, so undoing them in reverse restores the table in place.
     """
 
     def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
@@ -210,24 +215,14 @@ class _FirstTouchOrder:
         _clip_grads(in_hashed, max_norm)
         grads.embedding_table[hashed] = in_hashed.embedding_table  # scaled, back in stored order
 
-    def _swap(self, undo: bool) -> None:
-        arrays = (self.params.embedding_table, self.opt.m_table, self.opt.v_table)
-        for pairs in reversed(self.swaps) if undo else self.swaps:
-            for a in arrays:
-                a[pairs] = a[pairs[::-1]]
-
     def save(self, path: str) -> None:
-        """A checkpoint in hashed row order: the swaps undone for the save."""
-        self._swap(undo=True)
-        try:
-            save_checkpoint(self.params, self.opt, path)
-        finally:
-            self._swap(undo=False)
+        """A checkpoint in hashed row order, gathered from stored order."""
+        save_checkpoint(self.params, self.opt, path, rows=self.pos)
 
-    def restore(self) -> None:
-        """Put the rows back in hashed order, with the optimizer's live row count there."""
-        self._swap(undo=True)
-        self.opt.live = int(self.ids[: self.opt.live].max(initial=-1)) + 1
+    def restore_table(self) -> None:
+        """Undo the swaps in reverse: the table in hashed order, the moments as stored."""
+        for pairs in reversed(self.swaps):
+            self.params.embedding_table[pairs] = self.params.embedding_table[pairs[::-1]]
 
 
 @dataclass
@@ -243,7 +238,6 @@ class TrainLogRecord:
 @dataclass
 class TrainResult:
     params: ModelParams
-    opt_state: OptimizerState
     records: list[TrainLogRecord]
     checkpoint_paths: list[str] = field(default_factory=list)
     dropped_tail_groups: int = 0
@@ -277,9 +271,10 @@ def train(
     While training, the table and both moments are stored in the order
     batches first touch their rows (_FirstTouchOrder), so Adam runs on a
     prefix as long as the rows touched so far. Checkpoints and the
-    result are in hashed row order, and every op is unchanged by the
-    order or made to run in hashed order (the clip norm), so the bytes
-    equal those of training in hashed order.
+    result's table are in hashed row order, and every op is unchanged by
+    the order or made to run in hashed order (the clip norm), so the
+    bytes equal those of training in hashed order. The Adam moments
+    leave a run only in its checkpoints.
     """
     epoch_groups = groups if callable(groups) else lambda epoch: groups
 
@@ -378,9 +373,9 @@ def train(
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
             order.save(path)
             paths.append(path)
-    order.restore()
     if out_dir:
         path = final_checkpoint(out_dir)
-        save_checkpoint(params, opt, path)
+        order.save(path)
         paths.append(path)
-    return TrainResult(params, opt, records, paths, dropped_tail)
+    order.restore_table()
+    return TrainResult(params, records, paths, dropped_tail)

@@ -387,6 +387,14 @@ def dense_adam_step(params: ModelParams, state: OptimizerState, grads: ParamGrad
     return params, state
 
 
+def one_shot_init_table(cfg: TrainConfig, seed) -> np.ndarray:
+    """Reference init_params table: the whole float64 draw, then cast and clip."""
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-0.05, 0.05, size=(1 << cfg.hash_bits, cfg.dim)).astype(np.float32)
+    edge = np.nextafter(np.float32(0.05), np.float32(0.0))
+    return np.clip(table, -edge, edge)
+
+
 def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
     """Reference training loop: the table and moments stay in hashed row order.
 

@@ -39,10 +39,13 @@ DIGESTS = {
     "compare --seeds 2 --epochs 1": "c2fcde0b894fae3d0a0fdc85e8f551cff7e4529427aae51fa2478cad3069d095",
     "compare --seeds 2 --epochs 1 --fixed-pairs": "960a843e8d765a86c5d6e3020499448ac5ab3e2e0055a3cd35a383552c0f32f8",
     "train multi, final.ckpt": "e0e8d7ac4c3b4f591f55bac60f83bc3f1fc4d05afc09372b952e907a546389c0",
+    # a mid-run checkpoint: saved while training stores rows in first-touch order
+    "train multi, epoch_0001.ckpt": "0b05b574c2edaff41cd3837cd9169924e181665cf1d2505369d6e629cdffd315",
     "train single, final.ckpt": "1ddd8ef2ef9feccabc75bcc7668807f251cb36e1c350a588ef0109a468a1686f",
     # OFF_RECIPE on the corpus with hard negatives; see _with_hard_negatives
     "train off-recipe min_max, final.ckpt": "c805aec0086690f95ba4b514fca33639943a8fe3de84cfec3a361273b65ba808",
     "train off-recipe identity, final.ckpt": "86c7bed1f4fe74d7fc7ccb25b8ebf252a88a16cb4a13f1bfe19913f64972b6b2",
+    "train off-recipe min_max, epoch_0001.ckpt": "3a21eb611d1283615ac384c7d66d4e8e6896bdf3b38cd84786a71858174f2ffe",
     # eval reports on the multi run; see _eval_reports
     "eval retrieval --checkpoint-dir --both-directions": "beba647d9c46992447803ba9e45003c0edf39ca236143b3cc8f623d2c89d459d",
     "eval mine": "28f78291f4c2f44a2bde60fb27d1e0204a59089d5d0920b55b0afd6f99510770",
@@ -50,10 +53,12 @@ DIGESTS = {
     "eval classify": "c8ef818e92aea16904070c0f59b6453de9cf3c0d8eab37603ac7d4e3ab73d79b",
 }
 
-# SHA-256 of run/final.ckpt after README's Quick start: 30 epochs of the
-# recipe below. It writes 746 MB of checkpoints, so CI's Quick start step
-# checks it rather than a test.
+# SHA-256 of run/final.ckpt and run/epoch_0015.ckpt after README's Quick
+# start: 30 epochs of the recipe below. It writes 746 MB of checkpoints,
+# so CI's Quick start step checks them rather than a test. Epoch 15 is
+# saved mid-run, with every table row touched and a long swap log.
 QUICKSTART_FINAL = "a6a4fd3c6ff8f621d2c47f737a1d099920e9d9e502a22c3ce56ba55de6990140"
+QUICKSTART_EPOCH_15 = "bea2ec2ab5ad203f387e372205c2f9bb9f4924a9235d875d3b867b173966aebf"
 
 # compare's built-in recipe, as a train config
 RECIPE = dict(batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False, epochs=2)
@@ -92,7 +97,8 @@ def artifacts(tmp_path_factory):
         cfg.write_text(json.dumps(dict(RECIPE, objective=objective)), encoding="utf-8")
         argv = ["train", "--config", str(cfg), *data, "--out", str(d / objective)]
         assert cli.run(argv).exit_code == 0, objective
-        paths[f"train {objective}, final.ckpt"] = d / objective / "final.ckpt"
+        for ckpt in ("epoch_0001.ckpt", "final.ckpt"):
+            paths[f"train {objective}, {ckpt}"] = d / objective / ckpt
     paths["off-recipe data hard.jsonl"] = _with_hard_negatives(corpus / "groups.jsonl", d / "hard.jsonl")
     for normalization in ("min_max", "identity"):
         cfg = d / f"off_{normalization}.json"
@@ -100,7 +106,8 @@ def artifacts(tmp_path_factory):
         argv = ["train", "--config", str(cfg), "--data", str(paths["off-recipe data hard.jsonl"]),
                 "--out", str(d / f"off_{normalization}")]
         assert cli.run(argv).exit_code == 0, normalization
-        paths[f"train off-recipe {normalization}, final.ckpt"] = d / f"off_{normalization}" / "final.ckpt"
+        for ckpt in ("epoch_0001.ckpt", "final.ckpt"):
+            paths[f"train off-recipe {normalization}, {ckpt}"] = d / f"off_{normalization}" / ckpt
     with pytest.MonkeyPatch.context() as mp:
         # relative paths: each report names its checkpoint the same way on every run
         mp.chdir(d)

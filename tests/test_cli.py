@@ -1132,6 +1132,45 @@ def test_train_leaves_numpy_ma_unimported(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+def _reads_vm_hwm() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _reads_vm_hwm(), reason="reads the peak RSS, VmHWM, from /proc/self/status")
+def test_train_memory_follows_the_rows_it_touches(tmp_path):
+    # a 64 MiB table at hash_bits 18 that a 40-concept corpus barely
+    # touches: the run holds the table once, Adam moments for the touched
+    # rows, and checkpoint blocks, so it peaks less than 1.5 tables above
+    # a process that only imported the package. VmHWM, not ru_maxrss: a
+    # child's ru_maxrss starts from the spawning process's peak.
+    corpus = tmp_path / "corpus"
+    assert cli.run(["synth", "--concepts", "40", "--langs", "6", "--heldout", "0", "--seed", "7",
+                    "--out", str(corpus)]).exit_code == 0
+    cfg = _write(tmp_path / "cfg.json", json.dumps(dict(
+        batch_size=8, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=18, dim=64, warmup_enabled=False, epochs=2,
+    )))
+    argv = ["train", "--config", cfg, "--data", str(corpus / "groups.jsonl"), "--out", str(tmp_path / "run")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak = "\nprint(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+
+    def peak_kib(code):
+        res = subprocess.run([sys.executable, "-c", code + peak], capture_output=True, text=True, env=env,
+                             timeout=300)
+        assert res.returncode == 0, res.stderr
+        return int(res.stdout.split()[-1])
+
+    baseline = peak_kib("import numpy.random\nfrom multipos import cli")
+    trained = peak_kib(f"from multipos import cli\nassert cli.run({argv!r}).exit_code == 0")
+    assert sorted(os.listdir(tmp_path / "run")) == ["epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt", "log.jsonl"]
+    table_kib = (1 << 18) * 64 * 4 // 1024
+    assert trained - baseline < 1.5 * table_kib, (trained, baseline)
+
+
 @pytest.mark.skipif(
     not hasattr(signal, "SIGINT") or os.name == "nt" or signal.getsignal(signal.SIGINT) is signal.SIG_IGN,
     reason="SIGINT does not reach the child as KeyboardInterrupt here",

@@ -437,6 +437,38 @@ def test_checkpoint_round_trip(tmp_path):
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "model2.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "hash_bits, dim, chunk_values",
+    [(6, 64, None), (3, 5, None), (12, 24, None), (4, 6, 4)],  # 4: one row per block
+)
+def test_checkpoint_gathers_stored_rows_into_hashed_order(tmp_path, monkeypatch, hash_bits, dim, chunk_values):
+    # hash_bits 6 with dim 64: the table and the projection share a shape;
+    # 4096 rows of dim 24 end in a partial block
+    if chunk_values is not None:
+        monkeypatch.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
+    rng = np.random.default_rng(hash_bits)
+    params = _params(rng, hash_bits=hash_bits, dim=dim)
+    rows = 1 << hash_bits
+    m, v = rng.normal(size=(2, rows, dim)).astype(np.float32)
+    state = OptimizerState(m, rng.normal(size=(dim, dim)).astype(np.float32),
+                           np.abs(v), rng.random(size=(dim, dim)).astype(np.float32), step=7)
+    # untouched rows have zero moments, two of them with -0.0 bits
+    untouched = rng.permutation(rows)[: rows // 2]
+    state.m_table[untouched] = 0.0
+    state.v_table[untouched] = 0.0
+    state.m_table[untouched[0], 0] = state.v_table[untouched[-1], -1] = -0.0
+    want = str(tmp_path / "hashed.ckpt")
+    save_checkpoint(params, state, want)
+
+    ids = rng.permutation(rows)  # stored row p holds hashed row ids[p]
+    stored = ModelParams(params.embedding_table[ids], params.projection, hash_bits, dim)
+    stored_state = OptimizerState(state.m_table[ids], state.m_projection, state.v_table[ids],
+                                  state.v_projection, step=7)
+    got = str(tmp_path / "stored.ckpt")
+    save_checkpoint(stored, stored_state, got, rows=np.argsort(ids))
+    assert (tmp_path / "stored.ckpt").read_bytes() == (tmp_path / "hashed.ckpt").read_bytes()
+
+
 class _FailingArray:
     """Stands in for an array whose conversion fails mid-save, like a full disk."""
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from multipos.data import DatasetMismatchError, SentenceGroup, TokenCache, gen_cipher_corpus
-from multipos.encoder import load_checkpoint
+from multipos.encoder import load_checkpoint, tokenize
 from multipos.train import (
     NonFiniteLossError,
     TrainConfig,
@@ -20,7 +20,14 @@ from multipos.train import (
     train,
 )
 
-from helpers import dense_adam_step, dense_encode_backward, densify, full_grads, hashed_train
+from helpers import (
+    dense_adam_step,
+    dense_encode_backward,
+    densify,
+    full_grads,
+    hashed_train,
+    one_shot_init_table,
+)
 
 
 def _groups(n, langs=("a", "b", "c")):
@@ -138,6 +145,20 @@ def test_init_params():
     assert p1.embedding_table.shape == (256, 8)
     p3 = init_params(cfg, 4)
     assert p1.embedding_table.tobytes() != p3.embedding_table.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 48, 64, 100])
+@pytest.mark.parametrize("hash_bits", range(1, 13))
+def test_init_params_matches_one_shot_draw(hash_bits, dim):
+    # at 4,096 rows dims 48 and 100 end in a partial block, dim 64 fills its blocks
+    cfg = _small_cfg(hash_bits=hash_bits, dim=dim)
+    assert init_params(cfg, 5).embedding_table.tobytes() == one_shot_init_table(cfg, 5).tobytes()
+
+
+def test_init_params_draws_one_row_per_block_when_a_row_fills_one(monkeypatch):
+    monkeypatch.setattr(sys.modules["multipos.train"], "_CHUNK_VALUES", 4)
+    cfg = _small_cfg(hash_bits=3, dim=5)
+    assert init_params(cfg, 5).embedding_table.tobytes() == one_shot_init_table(cfg, 5).tobytes()
 
 
 def test_zero_epochs_is_identity(tmp_path):
@@ -363,14 +384,14 @@ def _spy_prefix(monkeypatch) -> list[tuple[int, int, bool]]:
 
 
 @pytest.mark.parametrize("objective", ["multi", "single"])
-def test_training_matches_dense_oracle(monkeypatch, objective):
+def test_training_matches_dense_oracle(tmp_path, monkeypatch, objective):
     # the first three steps run the single objective at the warm-up rate
     cfg = _small_cfg(
         epochs=3, k_positives=2, use_hard_negatives=True, warmup_enabled=True, warmup_steps=3,
         objective=objective, hash_bits=10,
     )
     trace = _spy_prefix(monkeypatch)
-    sparse = train(cfg, _oracle_groups)
+    sparse = train(cfg, _oracle_groups, out_dir=str(tmp_path / "sparse"))
     # every step relabelled, and Adam ran on exactly the rows touched so
     # far, a prefix of the table
     assert all(relabelled and live == seen for live, seen, relabelled in trace)
@@ -388,14 +409,16 @@ def test_training_matches_dense_oracle(monkeypatch, objective):
         train_mod, "encode_backward", lambda p, cache, g: dense_encode_backward(p, encoded[0], cache, g)
     )
     monkeypatch.setattr(train_mod, "adam_step", dense_adam_step)
-    dense = train(cfg, _oracle_groups)
+    dense = train(cfg, _oracle_groups, out_dir=str(tmp_path / "dense"))
 
     assert [r.loss for r in sparse.records] == [r.loss for r in dense.records]
-    assert sparse.opt_state.step == dense.opt_state.step == 6
     for name in ("embedding_table", "projection"):
         assert getattr(sparse.params, name).tobytes() == getattr(dense.params, name).tobytes()
+    _, sparse_opt = load_checkpoint(sparse.checkpoint_paths[-1], moments=True)
+    _, dense_opt = load_checkpoint(dense.checkpoint_paths[-1], moments=True)
+    assert sparse_opt.step == dense_opt.step == 6
     for name in ("m_table", "m_projection", "v_table", "v_projection"):
-        assert getattr(sparse.opt_state, name).tobytes() == getattr(dense.opt_state, name).tobytes()
+        assert getattr(sparse_opt, name).tobytes() == getattr(dense_opt, name).tobytes()
 
 
 @pytest.mark.parametrize("max_grad_norm", [None, 1e-3])
@@ -425,8 +448,10 @@ def test_training_matches_hashed_order_oracle(tmp_path, monkeypatch, objective, 
     assert [r.loss for r in got.records] == losses
     for name in ("embedding_table", "projection"):
         assert getattr(got.params, name).tobytes() == getattr(params, name).tobytes()
+    _, got_opt = load_checkpoint(got.checkpoint_paths[-1], moments=True)
+    assert got_opt.step == opt.step == 6
     for name in ("m_table", "m_projection", "v_table", "v_projection"):
-        assert getattr(got.opt_state, name).tobytes() == getattr(opt, name).tobytes()
+        assert getattr(got_opt, name).tobytes() == getattr(opt, name).tobytes()
     names = [f"epoch_{e:04d}.ckpt" for e in (1, 2, 3)] + ["final.ckpt"]
     assert [os.path.basename(p) for p in got.checkpoint_paths] == names
     for name in names:
@@ -441,8 +466,12 @@ def test_training_matches_hashed_order_oracle(tmp_path, monkeypatch, objective, 
     # touched so far; a 16-row table is full from the second step on
     assert all(relabelled and live == seen for live, seen, relabelled in trace)
     assert (trace[1][0] == 1 << hash_bits) == (hash_bits == 4)
-    live = got.opt_state.live  # in hashed order again: every row from it on has all-zero moment bits
-    assert not opt.m_table[live:].view(np.uint32).any() and not opt.v_table[live:].view(np.uint32).any()
+    # in hashed order, every row past the highest one a batch touched has
+    # all-zero moment bits
+    groups = [g for e in range(3) for g in _oracle_groups(e)]
+    texts = [t for g in groups for t in (*g.texts.values(), *g.hard_negatives.values())]
+    live = 1 + max(i for t in texts for i in tokenize(t, cfg.max_len, hash_bits))
+    assert not got_opt.m_table[live:].view(np.uint32).any() and not got_opt.v_table[live:].view(np.uint32).any()
 
 
 def test_clip_grads():
@@ -466,10 +495,10 @@ def test_train_writes_its_log_before_each_checkpoint(tmp_path, monkeypatch):
     save = train_mod.save_checkpoint
     logged_at_save = []
 
-    def spy_save(params, opt, path):
+    def spy_save(params, opt, path, **kwargs):
         lines = (tmp_path / "log.jsonl").read_text(encoding="utf-8").splitlines()
         logged_at_save.append((os.path.basename(path), len(lines)))
-        save(params, opt, path)
+        save(params, opt, path, **kwargs)
 
     monkeypatch.setattr(train_mod, "save_checkpoint", spy_save)
     (tmp_path / "log.jsonl").write_text("an older run's line\n", encoding="utf-8")
