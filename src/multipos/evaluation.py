@@ -29,7 +29,6 @@ _BLOCK_VALUES = 1 << 19
 class EvalReport:
     task: str
     overall: float
-    per_language: dict[str, float] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
 

@@ -35,6 +35,17 @@ class LossOutput:
     grad_hard_negatives: np.ndarray | None = None
 
 
+def _minmax(s: np.ndarray, tau: float):
+    """Each row's (last axis) map onto [-1/tau, 1/tau], and for its backward the unit
+    scores (s - min) / span, the span (1 where max == min) and the mask where max > min."""
+    lo = s.min(axis=-1, keepdims=True)
+    span = s.max(axis=-1, keepdims=True) - lo
+    live = span > 0.0
+    span = np.where(live, span, 1.0)
+    u = (s - lo) / span
+    return np.where(live, (u * 2.0 - 1.0) / tau, 0.0), u, span, live
+
+
 def minmax_normalize(scores, tau: float) -> np.ndarray:
     """Affine-map each row (last axis) to [-1/tau, 1/tau].
 
@@ -47,18 +58,12 @@ def minmax_normalize(scores, tau: float) -> np.ndarray:
         raise ValueError("non-finite scores")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    lo = s.min(axis=-1, keepdims=True)
-    span = s.max(axis=-1, keepdims=True) - lo
-    flat = span == 0.0
-    z = ((s - lo) / np.where(flat, 1.0, span) * 2.0 - 1.0) / tau
-    return np.where(flat, 0.0, z)
+    return _minmax(s, tau)[0]
 
 
-def _validate_rows(name: str, x: np.ndarray, dim: int | None) -> None:
+def _validate_rows(name: str, x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise ValueError(f"non-finite values in {name}")
-    if dim is not None and x.shape[-1] != dim:
-        raise ValueError(f"{name} has dimension {x.shape[-1]}, expected {dim}")
 
 
 def _loss_kernel(
@@ -86,14 +91,14 @@ def _loss_kernel(
     K = P.shape[1]
     if K < 1:
         raise ValueError("need at least one positive per anchor")
-    _validate_rows("anchors", A, None)
-    _validate_rows("positives", P, d)
+    _validate_rows("anchors", A)
+    _validate_rows("positives", P)
     H = None
     if hard_negatives is not None:
         H = np.ascontiguousarray(hard_negatives, dtype=np.float64)
         if H.shape != (N, d):
             raise ValueError(f"hard_negatives shape {H.shape}, expected {(N, d)}")
-        _validate_rows("hard_negatives", H, d)
+        _validate_rows("hard_negatives", H)
 
     off_diag = ~np.eye(N, dtype=bool)
     s = np.empty((N, K + N - 1 + (H is not None)))
@@ -104,7 +109,9 @@ def _loss_kernel(
         s[:, -1] = np.einsum("nd,nd->n", H, A)
 
     if normalization == "min_max":
-        z = minmax_normalize(s, tau) / tau
+        z, u, span, live = _minmax(s, tau)
+        # a second division by tau; ROADMAP's min-max temperature item decides it
+        z = z / tau
     else:
         z = s / tau
 
@@ -126,13 +133,8 @@ def _loss_kernel(
     g[:, :K] -= ep / num
 
     if normalization == "min_max":
-        lo = s.min(axis=1, keepdims=True)
-        span = s.max(axis=1, keepdims=True) - lo
         # Degenerate rows normalize to the constant zero map, so no
         # gradient flows through them.
-        live = span > 0.0
-        span = np.where(live, span, 1.0)
-        u = (s - lo) / span
         base = np.where(live, 2.0 / (tau * tau * span), 0.0)
         w = base * g
         gsum = g.sum(axis=1, keepdims=True)

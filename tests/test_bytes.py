@@ -47,10 +47,10 @@ DIGESTS = {
     "train off-recipe identity, final.ckpt": "86c7bed1f4fe74d7fc7ccb25b8ebf252a88a16cb4a13f1bfe19913f64972b6b2",
     "train off-recipe min_max, epoch_0001.ckpt": "3a21eb611d1283615ac384c7d66d4e8e6896bdf3b38cd84786a71858174f2ffe",
     # eval reports on the multi run; see _eval_reports
-    "eval retrieval --checkpoint-dir --both-directions": "beba647d9c46992447803ba9e45003c0edf39ca236143b3cc8f623d2c89d459d",
-    "eval mine": "28f78291f4c2f44a2bde60fb27d1e0204a59089d5d0920b55b0afd6f99510770",
-    "eval sts": "5f49ad7bd78a5812b67bf1b4eba70e9335bd35906eba75d369603660dc995f1f",
-    "eval classify": "c8ef818e92aea16904070c0f59b6453de9cf3c0d8eab37603ac7d4e3ab73d79b",
+    "eval retrieval --checkpoint-dir --both-directions": "07aeae356257f334e7217bcd50854cbf6279eac5e8f166268e99157ec56fc3ea",
+    "eval mine": "982be658207da6e742b31d72c87a69828314d62d3697ea90d5b3acda9dbb5ca4",
+    "eval sts": "7feac27a672577f13df4ed0ed7ced3b89f32bf785516d5f6b21f80164f665c83",
+    "eval classify": "cd0e30996ede964e3f88c7f20d9a05b2eae227a626c3837d44bd587976418bbb",
 }
 
 # SHA-256 of run/final.ckpt and run/epoch_0015.ckpt after README's Quick

@@ -1,6 +1,8 @@
+import argparse
 import gc
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -81,6 +83,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.run(["train", "--data", "x.jsonl"]).exit_code == 1  # --out missing
     assert cli.run(["build-data", "--lang", "en=only.txt", "--out", "o"]).exit_code == 1
     assert cli.run(["build-data", "--lang", "noequals", "--out", "o"]).exit_code == 1
+    capsys.readouterr()
+    assert cli.run(["build-data", "--lang", "l0=a", "--lang", "l0=b", "--out", "o"]).exit_code == 1
+    assert "usage error: language 'l0' given twice" in capsys.readouterr().err
 
     data, _ = _groups_file(tmp_path)
     cfg = _tiny_train_config(tmp_path, batch_size=1)
@@ -256,12 +261,13 @@ def test_to_pairs_conserves_sentences(tmp_path):
     assert len(used) == 20
 
 
-def test_train_artifacts(tmp_path):
+def test_train_artifacts(tmp_path, capsys):
     data, _ = _groups_file(tmp_path)
     cfg = _tiny_train_config(tmp_path, epochs=2)
     run_dir = tmp_path / "run"
     out = cli.run(["train", "--config", cfg, "--data", data, "--out", str(run_dir)])
     assert out.exit_code == 0
+    assert "dropped" not in capsys.readouterr().err
     names = sorted(p.name for p in run_dir.iterdir())
     assert names == ["epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt", "log.jsonl"]
     log = [json.loads(l) for l in (run_dir / "log.jsonl").read_text().splitlines()]
@@ -271,6 +277,13 @@ def test_train_artifacts(tmp_path):
     other = tmp_path / "run_seeded"
     cli.run(["train", "--config", cfg, "--data", data, "--seed", "7", "--out", str(other)])
     assert (other / "final.ckpt").read_bytes() != (run_dir / "final.ckpt").read_bytes()
+
+    # 9 groups in batches of 4: the last batch would hold one group, no in-batch negative
+    nine, _ = _groups_file(tmp_path, n=9, name="nine.jsonl")
+    capsys.readouterr()
+    out = cli.run(["train", "--config", _tiny_train_config(tmp_path), "--data", nine, "--out", str(tmp_path / "nine")])
+    assert out.exit_code == 0
+    assert "dropped 1 tail groups (batch below 2)" in capsys.readouterr().err
 
 
 def test_train_refuses_an_out_that_holds_checkpoints(tmp_path, capsys):
@@ -597,6 +610,16 @@ def test_eval_input_errors_exit_codes(epochs_run, tmp_path, capsys):
         assert cli.run(argv).exit_code == 2
         assert f"data error: {constant}: need at least 2 distinct gold scores" in capsys.readouterr().err
 
+    # a directory with no epoch checkpoint, final.ckpt aside, has nothing to select from
+    no_epochs, report = tmp_path / "no_epochs", tmp_path / "report.json"
+    no_epochs.mkdir()
+    (no_epochs / "final.ckpt").write_bytes((run_dir / "final.ckpt").read_bytes())
+    argv = ["eval", "--checkpoint-dir", str(no_epochs), "--task", "sts", "--pairs", files["pairs"],
+            "--dev-pairs", files["dev_pairs"], "--out", str(report)]
+    assert cli.run(argv).exit_code == 2
+    assert f"data error: no epoch_*.ckpt files under {no_epochs}" in capsys.readouterr().err
+    assert not report.exists()
+
     assert cli.run([*ckpt, "--task", "sts", "--pairs", files["pairs"], "--max-len", "0"]).exit_code == 1
     assert "usage error" in capsys.readouterr().err
 
@@ -820,7 +843,7 @@ def _synth_corpus(tmp_path):
 
 
 def _compare_config(tmp_path, **kw):
-    return _write(tmp_path / "cmp.json", json.dumps(dict(
+    return _write(tmp_path / "cmp.json", json.dumps(dict(dict(
         batch_size=8,
         k_positives=3,
         epochs=2,
@@ -829,8 +852,7 @@ def _compare_config(tmp_path, **kw):
         warmup_enabled=False,
         hash_bits=10,
         dim=16,
-        **kw,
-    )))
+    ), **kw)))
 
 
 def test_compare_report_structure(tmp_path, capsys):
@@ -861,8 +883,8 @@ def test_compare_report_structure(tmp_path, capsys):
     assert cli.run(["compare", "--data", data, "--heldout", heldout,
                     "--seeds", "0"]).exit_code == 1
     # k=9 needs 10 languages per group; the corpus has 4
-    assert cli.run(["compare", "--data", data, "--heldout", heldout, "--config", cfg,
-                    "--seeds", "1", "--k", "9"]).exit_code == 1
+    assert cli.run(["compare", "--data", data, "--heldout", heldout,
+                    "--config", _compare_config(tmp_path, k_positives=9), "--seeds", "1"]).exit_code == 1
     assert "config does not fit the dataset" in capsys.readouterr().err
 
 
@@ -981,7 +1003,7 @@ def test_compare_single_arm_trains_on_each_sentence_at_most_once(tmp_path, monke
 
     monkeypatch.setattr(cli, "train", captured)
     argv = ["compare", "--data", str(corpus / "groups.jsonl"), "--heldout", str(corpus / "heldout.jsonl"),
-            "--config", _compare_config(tmp_path), "--k", "2", "--epochs", "3", "--seeds", "1",
+            "--config", _compare_config(tmp_path, k_positives=2), "--epochs", "3", "--seeds", "1",
             "--out", str(tmp_path / "report.json")]
     assert cli.run(argv + ["--fixed-pairs"] * fixed).exit_code == 0
     assert [epoch for epoch, _ in used] == [0, 1, 2]
@@ -1091,6 +1113,23 @@ def test_compare_keeps_one_arm_model_alive(tmp_path, monkeypatch):
     assert out.exit_code == 0
     # two seeds, two arms each; no earlier arm's model outlives its evaluation
     assert alive_at_start == [0, 0, 0, 0]
+
+
+def test_every_option_is_named_in_readme():
+    # an option README never names is one nobody can find, or one nobody uses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z0-9-]*\*?", readme))
+    prefixes = tuple(name[:-1] for name in named if name.endswith("*"))
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unnamed = [
+        f"{command} {option}"
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help" and option not in named
+        and not option.startswith(prefixes)
+    ]
+    assert not unnamed, f"options README never names: {unnamed}"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")

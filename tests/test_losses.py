@@ -427,6 +427,8 @@ def test_input_validation():
         multi_positive_loss(A, P, unit_rows(rng, 3, 4), **cfg)  # hard shape
     with pytest.raises(ValueError):
         multi_positive_loss(A, P[:, :, :3], **cfg)  # dim mismatch
+    with pytest.raises(ValueError, match=r"expected anchors \(N,d\) and positives \(N,K,d\)"):
+        multi_positive_loss(A, P[:, 0, :], **cfg)  # rank-2 positives
     with pytest.raises(ValueError):
         single_positive_loss(A, P, tau=1.0)  # rank-3 positives
     with pytest.raises(ValueError):
