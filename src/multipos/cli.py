@@ -165,6 +165,8 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
 
 
 def _cmd_train(args) -> None:
+    if not args.out:
+        raise UsageError("--out must name a directory, got an empty path")
     # A new run beside an old one's checkpoints would leave epochs of both,
     # and eval --checkpoint-dir would choose among them.
     stale = epoch_checkpoints(args.out) + [p for p in [final_checkpoint(args.out)] if os.path.exists(p)]

@@ -419,13 +419,12 @@ def read_groups_jsonl(path: str) -> list[SentenceGroup]:
 
 
 def write_pairs_tsv(pairs: Sequence[PairRecord], path: str) -> None:
+    # every field is checked before the file opens: a refused write leaves path as it was
+    rows = [(p.src_lang, p.tgt_lang, p.src_text, p.tgt_text) for p in pairs]
+    if any("\t" in f or "\n" in f for row in rows for f in row):
+        raise DataFormatError("pair fields must not contain tabs or newlines")
     with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fields = (p.src_lang, p.tgt_lang, p.src_text, p.tgt_text)
-            for f in fields:
-                if "\t" in f or "\n" in f:
-                    raise DataFormatError("pair fields must not contain tabs or newlines")
-            fh.write("\t".join(fields) + "\n")
+        fh.writelines("\t".join(row) + "\n" for row in rows)
 
 
 def read_lines(path: str) -> list[str]:

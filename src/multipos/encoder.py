@@ -296,12 +296,21 @@ class OptimizerState:
     v_projection: np.ndarray
     step: int = 0
     # Table rows from live on have all-zero moment bits. Not serialized;
-    # None means "derive it from m and v" at the next step.
+    # left out, it is derived from m and v here, so it is always a count.
     live: int | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.live is None:
+            # any set bit counts, -0.0 included: a step turns a -0.0 moment into +0.0
+            set_rows = np.flatnonzero(
+                self.m_table.view(np.uint32).any(axis=1) | self.v_table.view(np.uint32).any(axis=1)
+            )
+            self.live = int(set_rows[-1]) + 1 if len(set_rows) else 0
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "OptimizerState":
-        # np.zeros maps no page of a table moment until a step writes it
+        # np.zeros maps no page of a table moment until a step writes it,
+        # and live=0 keeps __post_init__ from scanning them
         return cls(
             m_table=np.zeros(params.embedding_table.shape, dtype=np.float32),
             m_projection=np.zeros_like(params.projection),
@@ -357,12 +366,6 @@ def adam_step(
     step_size = lr / (1.0 - b1**t)
     c2 = 1.0 - b2**t
 
-    if state.live is None:
-        # any set bit counts, -0.0 included: a step turns a -0.0 moment into +0.0
-        set_rows = np.flatnonzero(
-            state.m_table.view(np.uint32).any(axis=1) | state.v_table.view(np.uint32).any(axis=1)
-        )
-        state.live = int(set_rows[-1]) + 1 if len(set_rows) else 0
     if len(grads.rows):
         state.live = max(state.live, int(grads.rows[-1]) + 1)
     rows = grads.rows

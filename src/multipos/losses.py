@@ -37,13 +37,16 @@ class LossOutput:
 
 def _minmax(s: np.ndarray, tau: float):
     """Each row's (last axis) map onto [-1/tau, 1/tau], and for its backward the unit
-    scores (s - min) / span, the span (1 where max == min) and the mask where max > min."""
-    lo = s.min(axis=-1, keepdims=True)
-    span = s.max(axis=-1, keepdims=True) - lo
+    scores (s - min) / span, the span (1 where max == min), the mask where max > min,
+    and the positions of the min and max (first index on ties), one scan each."""
+    imin = s.argmin(axis=-1, keepdims=True)
+    imax = s.argmax(axis=-1, keepdims=True)
+    lo = np.take_along_axis(s, imin, axis=-1)
+    span = np.take_along_axis(s, imax, axis=-1) - lo
     live = span > 0.0
     span = np.where(live, span, 1.0)
     u = (s - lo) / span
-    return np.where(live, (u * 2.0 - 1.0) / tau, 0.0), u, span, live
+    return np.where(live, (u * 2.0 - 1.0) / tau, 0.0), u, span, live, imin, imax
 
 
 def minmax_normalize(scores, tau: float) -> np.ndarray:
@@ -66,15 +69,34 @@ def _validate_rows(name: str, x: np.ndarray) -> None:
         raise ValueError(f"non-finite values in {name}")
 
 
-def _loss_kernel(
-    anchors: np.ndarray,
-    positives: np.ndarray,
-    hard_negatives: np.ndarray | None,
-    tau: float,
-    normalization: str,
+def single_positive_loss(anchors, positives, *, tau: float) -> LossOutput:
+    """Mean InfoNCE over anchors with one positive each.
+
+    Candidates for anchor i are its positive followed by the other
+    anchors, and scores stay raw (no normalization). tau is the
+    softmax temperature. grad_positives comes back with shape (N, d).
+    """
+    P = np.asarray(positives, dtype=np.float64)
+    if P.ndim != 2:
+        raise ValueError(f"expected positives of shape (N,d), got {P.shape}")
+    out = multi_positive_loss(anchors, P[:, None, :], tau=tau, normalization="identity")
+    return LossOutput(out.value, out.grad_anchor, out.grad_positives[:, 0, :], None)
+
+
+def multi_positive_loss(
+    anchors, positives, hard_negatives=None, *, tau: float, normalization: str
 ) -> LossOutput:
-    # Shared forward/backward for both objectives. positives is (N, K, d);
-    # the single-positive path passes K=1 and identity normalization.
+    """Mean multi-positive loss: -log of the positives' softmax mass.
+
+    Per anchor the candidate scores (K positives, other anchors, then
+    the optional hard negative) pass through the normalization (one of
+    NORMALIZATIONS), and the loss is
+    -log(sum_pos exp(S/tau) / sum_all exp(S/tau)). Gradients are exact,
+    including the min/max subgradient terms of the normalizer
+    (first-index tie-break, zero in the degenerate max == min case),
+    taken at the positions the forward pass found. single_positive_loss
+    runs through here with K=1 and identity normalization.
+    """
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if normalization not in NORMALIZATIONS:
@@ -109,7 +131,7 @@ def _loss_kernel(
         s[:, -1] = np.einsum("nd,nd->n", H, A)
 
     if normalization == "min_max":
-        z, u, span, live = _minmax(s, tau)
+        z, u, span, live, imin, imax = _minmax(s, tau)
         # a second division by tau; ROADMAP's min-max temperature item decides it
         z = z / tau
     else:
@@ -141,8 +163,8 @@ def _loss_kernel(
         usum = (g * u).sum(axis=1, keepdims=True)
         # min/max subgradients; ties take the first index
         rows = np.arange(N)
-        w[rows, s.argmin(axis=1)] -= (base * (gsum - usum))[:, 0]
-        w[rows, s.argmax(axis=1)] -= (base * usum)[:, 0]
+        w[rows, imin[:, 0]] -= (base * (gsum - usum))[:, 0]
+        w[rows, imax[:, 0]] -= (base * usum)[:, 0]
     else:
         w = g / tau
 
@@ -159,32 +181,3 @@ def _loss_kernel(
     grad_a /= N
     grad_p = w_pos[:, :, None] * A[:, None, :] / N
     return LossOutput(value, grad_a, grad_p, grad_h)
-
-
-def single_positive_loss(anchors, positives, *, tau: float) -> LossOutput:
-    """Mean InfoNCE over anchors with one positive each.
-
-    Candidates for anchor i are its positive followed by the other
-    anchors, and scores stay raw (no normalization). tau is the
-    softmax temperature. grad_positives comes back with shape (N, d).
-    """
-    P = np.asarray(positives, dtype=np.float64)
-    if P.ndim != 2:
-        raise ValueError(f"expected positives of shape (N,d), got {P.shape}")
-    out = _loss_kernel(anchors, P[:, None, :], None, tau, "identity")
-    return LossOutput(out.value, out.grad_anchor, out.grad_positives[:, 0, :], None)
-
-
-def multi_positive_loss(
-    anchors, positives, hard_negatives=None, *, tau: float, normalization: str
-) -> LossOutput:
-    """Mean multi-positive loss: -log of the positives' softmax mass.
-
-    Per anchor the candidate scores (K positives, other anchors, then
-    the optional hard negative) pass through the normalization (one of
-    NORMALIZATIONS), and the loss is
-    -log(sum_pos exp(S/tau) / sum_all exp(S/tau)). Gradients are exact,
-    including the min/max subgradient terms of the normalizer
-    (first-index tie-break, zero in the degenerate max == min case).
-    """
-    return _loss_kernel(anchors, positives, hard_negatives, tau, normalization)

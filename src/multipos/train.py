@@ -169,9 +169,10 @@ class _FirstTouchOrder:
     so the moments are zero from there on and Adam's update runs on that
     prefix. Before a batch is encoded, its unseen rows swap places with
     the untouched rows just past the prefix, and opt.live grows to cover
-    them: both sides have zero moments, so only table rows move. Saves
-    gather hashed order through pos. Each batch's swaps are disjoint and
-    are kept, so undoing them in reverse restores the table in place.
+    them: both sides have zero moments, so only table rows move.
+    Checkpoints gather hashed order through save_checkpoint's rows=pos.
+    Each batch's swaps are disjoint and are kept, so undoing them in
+    reverse restores the table in place.
     """
 
     def __init__(self, params: ModelParams, opt: OptimizerState) -> None:
@@ -214,10 +215,6 @@ class _FirstTouchOrder:
         )
         _clip_grads(in_hashed, max_norm)
         grads.embedding_table[hashed] = in_hashed.embedding_table  # scaled, back in stored order
-
-    def save(self, path: str) -> None:
-        """A checkpoint in hashed row order, gathered from stored order."""
-        save_checkpoint(self.params, self.opt, path, rows=self.pos)
 
     def restore_table(self) -> None:
         """Undo the swaps in reverse: the table in hashed order, the moments as stored."""
@@ -371,11 +368,11 @@ def train(
         log(records[first:])
         if out_dir:
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
-            order.save(path)
+            save_checkpoint(params, opt, path, rows=order.pos)
             paths.append(path)
     if out_dir:
         path = final_checkpoint(out_dir)
-        order.save(path)
+        save_checkpoint(params, opt, path, rows=order.pos)
         paths.append(path)
     order.restore_table()
     return TrainResult(params, records, paths, dropped_tail)

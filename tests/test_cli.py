@@ -81,6 +81,10 @@ def _tiny_train_config(tmp_path, **kw):
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.run(["frobnicate"]).exit_code == 1
     assert cli.run(["train", "--data", "x.jsonl"]).exit_code == 1  # --out missing
+    capsys.readouterr()
+    # an empty --out is refused before --data is read (a missing file would exit 2)
+    assert cli.run(["train", "--data", str(tmp_path / "missing.jsonl"), "--out", ""]).exit_code == 1
+    assert "usage error: --out must name a directory" in capsys.readouterr().err
     assert cli.run(["build-data", "--lang", "en=only.txt", "--out", "o"]).exit_code == 1
     assert cli.run(["build-data", "--lang", "noequals", "--out", "o"]).exit_code == 1
     capsys.readouterr()
@@ -163,6 +167,19 @@ def test_data_errors_exit_2(tmp_path, capsys):
         bad = _write(tmp_path / "bad.jsonl", good + line + "\n")
         assert cli.run(["to-pairs", "--data", bad, "--out", str(tmp_path / "p.tsv")]).exit_code == 2
         assert f"data error: {bad}:2: invalid JSON" in capsys.readouterr().err
+
+    # a tab in the second group's pair: no pair reaches --out, and an older file keeps its bytes
+    groups = [SentenceGroup(id="g0", texts={"a": "p", "b": "q"}),
+              SentenceGroup(id="g1", texts={"a": "x\ty", "b": "z"})]
+    tabbed = str(tmp_path / "tabbed.jsonl")
+    write_groups_jsonl(groups, tabbed)
+    older = "en\tde\tan older\tfile\n"
+    for out_path, before in ((tmp_path / "fresh.tsv", None), (tmp_path / "older.tsv", older)):
+        if before is not None:
+            out_path.write_text(before, encoding="utf-8")
+        assert cli.run(["to-pairs", "--data", tabbed, "--out", str(out_path)]).exit_code == 2
+        assert "tabs or newlines" in capsys.readouterr().err
+        assert (out_path.read_text(encoding="utf-8") if out_path.exists() else None) == before
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

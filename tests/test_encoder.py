@@ -387,8 +387,8 @@ def test_adam_matches_dense_oracle_after_resume(tmp_path, monkeypatch, chunk_val
 
     resumed = load_checkpoint(path, moments=True)
     oracle = load_checkpoint(path, moments=True)
-    assert resumed[1].live is None  # derived from the moments at the next step
-    # a step without table gradient updates rows 0-10: the -0.0 in row 10 is a set bit
+    assert resumed[1].live == 11  # derived from the moments at load: the -0.0 in row 10 is a set bit
+    # a step without table gradient updates rows 0-10
     grads = ParamGrads(np.zeros(0, dtype=np.intp), np.zeros((0, 4)), rng.normal(size=(4, 4)))
     adam_step(*resumed, grads, 1e-2)
     dense_adam_step(*oracle, grads, 1e-2)
@@ -404,6 +404,17 @@ def test_adam_matches_dense_oracle_after_resume(tmp_path, monkeypatch, chunk_val
         assert _state_bytes(*resumed) == _state_bytes(*oracle)
         live = max(live, rows[-1] + 1)  # extended to the last row with a gradient
         assert resumed[1].live == live
+
+
+def test_optimizer_state_derives_live_when_made():
+    params = _params(np.random.default_rng(3), hash_bits=4, dim=3)
+    fresh = OptimizerState.fresh(params)
+    assert fresh.live == 0
+    m, v = np.zeros((2, 16, 3), dtype=np.float32)
+    v[6, 1] = -0.0  # the only set bit: a step would turn it into +0.0
+    made = OptimizerState(m, fresh.m_projection, v, fresh.v_projection)
+    assert made.live == 7
+    assert OptimizerState(np.zeros_like(m), fresh.m_projection, np.zeros_like(v), fresh.v_projection).live == 0
 
 
 def _trained_pair(seed=12):
