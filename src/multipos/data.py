@@ -10,6 +10,7 @@ provides desk-scale corpora with controllable seen/held-out languages.
 
 from __future__ import annotations
 
+import itertools
 import json
 from array import array
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import tokenize
+from .encoder import tokenize, tokenize_many
 
 
 class DataFormatError(ValueError):
@@ -32,6 +33,11 @@ class DatasetMismatchError(ValueError):
     """
 
 
+# texts TokenCache.fill reads, and at most tokenizes, at a time: one block's
+# words are temporaries, and filling all texts at once raises the peak memory
+_FILL_BLOCK = 1024
+
+
 class TokenCache:
     """`tokenize` that tokenizes each distinct text once per (max_len, hash_bits).
 
@@ -40,18 +46,36 @@ class TokenCache:
     holds each text's id count followed by its ids, and a dict from
     text to where that count sits: a fraction of the memory of a list
     of Python ints, or of a bytes object, per text. Ids must fit in
-    int32 (hash_bits up to 31; the encoder stops at MAX_HASH_BITS). A
+    int32 (hash_bits up to 31; the encoder stops at MAX_HASH_BITS).
+    `fill` stores many texts through this module's `tokenize_many`; a
     miss calls this module's `tokenize`. Every call returns a new list.
     """
 
     def __init__(self) -> None:
         self._stores: dict[tuple[int, int], tuple[dict[str, int], array]] = {}
 
-    def __call__(self, text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
+    def _store(self, max_len: int, hash_bits: int) -> tuple[dict[str, int], array]:
         store = self._stores.get((max_len, hash_bits))
         if store is None:
             store = self._stores[max_len, hash_bits] = ({}, array("i"))
-        where, packed = store
+        return store
+
+    def fill(self, texts: Iterable[str], max_len: int = 64, hash_bits: int = 16) -> None:
+        """Store each of `texts` the cache lacks, tokenized by `tokenize_many` _FILL_BLOCK texts at a time."""
+        if hash_bits > 31:
+            raise ValueError(f"a TokenCache keeps int32 ids: hash_bits must be at most 31, got {hash_bits}")
+        where, packed = self._store(max_len, hash_bits)
+        texts = iter(texts)
+        while chunk := list(itertools.islice(texts, _FILL_BLOCK)):
+            block = [t for t in dict.fromkeys(chunk) if t not in where]
+            if block:
+                counts, ids = tokenize_many(block, max_len, hash_bits)
+                starts = np.cumsum(counts) - counts
+                where.update(zip(block, (len(packed) + starts + np.arange(len(block))).tolist()))
+                packed.frombytes(np.insert(ids, starts, counts).astype(np.intc).tobytes())
+
+    def __call__(self, text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
+        where, packed = self._store(max_len, hash_bits)
         at = where.get(text)
         if at is not None:
             return packed[at + 1 : at + 1 + packed[at]].tolist()
@@ -421,8 +445,9 @@ def read_groups_jsonl(path: str) -> list[SentenceGroup]:
 def write_pairs_tsv(pairs: Sequence[PairRecord], path: str) -> None:
     # every field is checked before the file opens: a refused write leaves path as it was
     rows = [(p.src_lang, p.tgt_lang, p.src_text, p.tgt_text) for p in pairs]
-    if any("\t" in f or "\n" in f for row in rows for f in row):
-        raise DataFormatError("pair fields must not contain tabs or newlines")
+    # read_tsv reads lines with universal newlines, so "\r" ends a line too
+    if any("\t" in f or "\n" in f or "\r" in f for row in rows for f in row):
+        raise DataFormatError("pair fields must not contain tabs or newlines (\\n or \\r)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines("\t".join(row) + "\n" for row in rows)
 

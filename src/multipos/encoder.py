@@ -51,6 +51,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -97,8 +98,8 @@ class CheckpointChecksumError(CheckpointError):
     pass
 
 
-def fnv1a_64(data: bytes) -> int:
-    h = FNV_OFFSET
+def fnv1a_64(data: bytes, h: int = FNV_OFFSET) -> int:
+    """FNV-1a of data, continued from hash state h."""
     for byte in data:
         h ^= byte
         h = (h * FNV_PRIME) & _MASK64
@@ -120,6 +121,49 @@ def tokenize(text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
         return [0]
     space = (1 << hash_bits) - 1
     return [1 + fnv1a_64(w.encode("utf-8")) % space for w in words[:max_len]]
+
+
+def tokenize_many(texts: Sequence[str], max_len: int = 64, hash_bits: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """`tokenize` of every text at once: int64 id counts per text, and the ids end to end.
+
+    Text i's ids are the counts[i] that follow the first sum(counts[:i])
+    and equal tokenize(texts[i], max_len, hash_bits). Every word goes
+    into one NUL-separated UTF-8 buffer (a \\w word holds no NUL byte),
+    and FNV-1a hashes all of them together, one byte position per pass
+    over a longest-first prefix of the words; uint64 products wrap mod
+    2**64 like the hash's mask. The passes stop where passes run plus
+    words left is least, as in _segment_sums, and each word left
+    finishes with fnv1a_64. Ids are int64, so hash_bits stops at 63.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    if not 1 <= hash_bits <= 63:
+        raise ValueError(f"hash_bits must be in [1, 63], got {hash_bits}")
+    per_text = [_TOKEN_RE.findall(text.lower())[:max_len] for text in texts]
+    n_words = np.fromiter(map(len, per_text), dtype=np.int64, count=len(per_text))
+    counts = np.maximum(n_words, 1)  # a text with no word is [0]
+    ids = np.zeros(int(counts.sum()), dtype=np.int64)
+    if not n_words.any():
+        return counts, ids
+    buf = np.frombuffer(("\0".join(itertools.chain.from_iterable(per_text)) + "\0").encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(buf == 0)
+    starts = np.append(0, ends[:-1] + 1)
+    order, live = _longest_first(ends - starts)
+    first, last = starts[order], ends[order]
+    words = np.concatenate(([len(order)], live, [0]))  # words[j]: how many words have a byte j
+    stop = int(np.argmin(np.arange(len(words)) + words))
+    h = np.full(len(order), FNV_OFFSET, dtype=np.uint64)
+    for j, m in enumerate(words[:stop].tolist()):
+        h[:m] ^= buf[first[:m] + j]
+        h[:m] *= np.uint64(FNV_PRIME)
+    for r in range(words[stop]):
+        h[r] = fnv1a_64(buf[first[r] + stop : last[r]].tobytes(), int(h[r]))
+    word_ids = np.empty(len(order), dtype=np.int64)
+    word_ids[order] = 1 + h % np.uint64((1 << hash_bits) - 1)
+    # word g of text t sits at g + (where text t starts) - (words before text t)
+    shift = (np.cumsum(counts) - counts) - (np.cumsum(n_words) - n_words)
+    ids[np.repeat(shift, n_words) + np.arange(len(order))] = word_ids
+    return counts, ids
 
 
 @dataclass

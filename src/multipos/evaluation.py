@@ -43,11 +43,15 @@ class MiningResult:
 def encode_texts(
     params: ModelParams, texts: Sequence[str], max_len: int = 64, tokens: TokenCache | None = None
 ) -> np.ndarray:
-    """Unit-norm embeddings of texts, tokenized through `tokens` (a fresh TokenCache by default)."""
+    """Unit-norm embeddings of texts, tokenized through `tokens` (a fresh TokenCache by default).
+
+    The texts `tokens` lacks are filled in first, in one `TokenCache.fill`.
+    """
     if len(texts) == 0:
         raise ValueError("no texts to encode")
     if tokens is None:
         tokens = TokenCache()
+    tokens.fill(texts, max_len, params.hash_bits)
     return encode(params, [tokens(t, max_len, params.hash_bits) for t in texts])[0]
 
 

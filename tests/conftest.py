@@ -17,15 +17,23 @@ settings.load_profile("repo")
 
 @pytest.fixture()
 def tokenized(monkeypatch):
-    """Every text passed to `multipos.data.tokenize`, the name a TokenCache miss calls."""
+    """Every text passed to `multipos.data.tokenize` or `multipos.data.tokenize_many`.
+
+    Those are the names a TokenCache miss and `TokenCache.fill` call.
+    """
     import multipos.data
 
     calls = []
-    real = multipos.data.tokenize
+    real_one, real_many = multipos.data.tokenize, multipos.data.tokenize_many
 
-    def spy(text, *args, **kwargs):
+    def one(text, *args, **kwargs):
         calls.append(text)
-        return real(text, *args, **kwargs)
+        return real_one(text, *args, **kwargs)
 
-    monkeypatch.setattr(multipos.data, "tokenize", spy)
+    def many(texts, *args, **kwargs):
+        calls.extend(texts)
+        return real_many(texts, *args, **kwargs)
+
+    monkeypatch.setattr(multipos.data, "tokenize", one)
+    monkeypatch.setattr(multipos.data, "tokenize_many", many)
     return calls

@@ -168,18 +168,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert cli.run(["to-pairs", "--data", bad, "--out", str(tmp_path / "p.tsv")]).exit_code == 2
         assert f"data error: {bad}:2: invalid JSON" in capsys.readouterr().err
 
-    # a tab in the second group's pair: no pair reaches --out, and an older file keeps its bytes
-    groups = [SentenceGroup(id="g0", texts={"a": "p", "b": "q"}),
-              SentenceGroup(id="g1", texts={"a": "x\ty", "b": "z"})]
-    tabbed = str(tmp_path / "tabbed.jsonl")
-    write_groups_jsonl(groups, tabbed)
+    # a tab, or a carriage return that read_tsv would take for a line end, in the
+    # second group's pair: no pair reaches --out, and an older file keeps its bytes
     older = "en\tde\tan older\tfile\n"
-    for out_path, before in ((tmp_path / "fresh.tsv", None), (tmp_path / "older.tsv", older)):
-        if before is not None:
-            out_path.write_text(before, encoding="utf-8")
-        assert cli.run(["to-pairs", "--data", tabbed, "--out", str(out_path)]).exit_code == 2
-        assert "tabs or newlines" in capsys.readouterr().err
-        assert (out_path.read_text(encoding="utf-8") if out_path.exists() else None) == before
+    for bad in ("\t", "\r"):
+        groups = [SentenceGroup(id="g0", texts={"a": "p", "b": "q"}),
+                  SentenceGroup(id="g1", texts={"a": f"x{bad}y", "b": "z"})]
+        refused = str(tmp_path / "refused.jsonl")
+        write_groups_jsonl(groups, refused)
+        for out_path, before in ((tmp_path / "fresh.tsv", None), (tmp_path / "older.tsv", older)):
+            if before is not None:
+                out_path.write_text(before, encoding="utf-8")
+            assert cli.run(["to-pairs", "--data", refused, "--out", str(out_path)]).exit_code == 2
+            assert "tabs or newlines" in capsys.readouterr().err
+            assert (out_path.read_text(encoding="utf-8") if out_path.exists() else None) == before
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -793,6 +795,22 @@ def test_eval_tokenizes_each_input_line_once(epochs_run, tokenized, tmp_path):
     lines = [line for flag in flags for line in _lines(files[flag])]
     assert len(set(lines)) == len(lines)
     assert sorted(tokenized) == sorted(lines)
+
+
+def test_train_with_hard_negatives_tokenizes_each_text_once(tmp_path, tokenized):
+    # every group text and hard negative once, drawn by a batch or not, and
+    # the checkpoints of train() with no filled cache
+    groups = [SentenceGroup(id=f"g{i}", texts={l: f"{l} tok{i} fill{i}" for l in "abc"},
+                            hard_negatives={l: f"{l} neg{i}" for l in "ab"}) for i in range(10)]
+    data = str(tmp_path / "groups.jsonl")
+    write_groups_jsonl(groups, data)
+    cfg = _tiny_train_config(tmp_path, epochs=2, use_hard_negatives=True)
+    assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "cli")]).exit_code == 0
+    texts = [t for g in groups for t in (*g.texts.values(), *g.hard_negatives.values())]
+    assert sorted(tokenized) == sorted(texts)
+    train(load_config(cfg), groups, out_dir=str(tmp_path / "lib"))
+    for name in ("epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -214,9 +214,12 @@ def test_make_batches_determinism():
     max_len=st.integers(1, 80),
     hash_bits=st.integers(1, 24),
     other_bits=st.integers(1, 24),
+    filled=st.booleans(),
 )
-def test_token_cache_returns_tokenize_ids(text, max_len, hash_bits, other_bits):
+def test_token_cache_returns_tokenize_ids(text, max_len, hash_bits, other_bits, filled):
     cache = TokenCache()
+    if filled:  # the first lookup reads what fill stored
+        cache.fill([text, text], max_len, hash_bits)
     want = tokenize(text, max_len, hash_bits)
     first = cache(text, max_len, hash_bits)
     assert first == want
@@ -228,6 +231,32 @@ def test_token_cache_returns_tokenize_ids(text, max_len, hash_bits, other_bits):
     # one text under two hash widths keeps each width's own ids
     assert cache(text, max_len, other_bits) == tokenize(text, max_len, other_bits)
     assert cache(text, max_len, hash_bits) == want
+
+
+def test_token_cache_fill_blocks_and_refill(monkeypatch):
+    blocks = []
+    real = data_mod.tokenize_many
+
+    def spy(texts, *args):
+        blocks.append(len(texts))
+        return real(texts, *args)
+
+    monkeypatch.setattr(data_mod, "tokenize_many", spy)
+    texts = [f"w{i} Shared, x{i % 7}" for i in range(2500)] + ["", "..."]
+    cache = TokenCache()
+    cache.fill(texts + texts[::-1], 64, 12)  # each text twice, tokenized once
+    assert blocks == [1024, 1024, 454]
+    assert [cache(t, 64, 12) for t in texts] == [tokenize(t, 64, 12) for t in texts]
+    packed = cache._stores[64, 12][1]
+    size = len(packed)
+    cache.fill(iter(texts[100:900]), 64, 12)
+    assert blocks == [1024, 1024, 454] and len(packed) == size
+    # another max_len is another store, filled on its own
+    cache.fill(texts[:3], 2, 12)
+    assert blocks[-1] == 3 and len(packed) == size
+    assert [cache(t, 2, 12) for t in texts[:3]] == [tokenize(t, 2, 12) for t in texts[:3]]
+    with pytest.raises(ValueError, match="at most 31"):
+        cache.fill(["x"], 64, 32)
 
 
 def test_make_batches_validation_names_group():
@@ -462,8 +491,10 @@ def test_pairs_tsv_round_trip_and_errors(tmp_path):
     write_pairs_tsv(pairs, path)
     assert _read_pairs(path) == pairs
 
-    with pytest.raises(DataFormatError):
-        write_pairs_tsv([PairRecord("en", "de", "has\ttab", "y")], path)
+    for bad in ("has\ttab", "has\nnewline", "has\rreturn"):
+        with pytest.raises(DataFormatError):
+            write_pairs_tsv([PairRecord("en", "de", bad, "y")], path)
+    assert _read_pairs(path) == pairs
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("en\tde\tonly three\n", encoding="utf-8")

@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multipos import encoder as encoder_mod
@@ -16,6 +16,7 @@ from multipos.encoder import (
     CheckpointError,
     CheckpointMagicError,
     CheckpointVersionError,
+    MAX_HASH_BITS,
     ModelParams,
     NonFiniteGradientError,
     OptimizerState,
@@ -27,6 +28,7 @@ from multipos.encoder import (
     load_checkpoint,
     save_checkpoint,
     tokenize,
+    tokenize_many,
 )
 from multipos.losses import multi_positive_loss
 
@@ -68,6 +70,36 @@ def test_tokenize_id_range():
         tokenize("x", max_len=0)
     with pytest.raises(ValueError):
         tokenize("x", hash_bits=0)
+
+
+# characters where lowercasing, \w or UTF-8 width is easy to get wrong: NUL,
+# a combining mark, dotted capital I (lowercases to two code points),
+# non-BMP letters, capital sigma, sharp s, punctuation and whitespace
+_TRICKY = st.sampled_from("\x00\u0301\u0130\U0001d518\U00020000\u03a3\u00dfa. ")
+
+
+@given(
+    texts=st.lists(st.text(st.one_of(st.characters(), _TRICKY)), max_size=12),
+    max_len=st.integers(1, 70),
+    hash_bits=st.integers(1, MAX_HASH_BITS),
+)
+@example(texts=[], max_len=64, hash_bits=16)
+@example(texts=["", "?!", "\x00", "A\u0130 \U0001d518\x00x e\u0301"], max_len=2, hash_bits=1)
+@example(texts=["a" * 3000 + " b", "c", "dd " * 80], max_len=70, hash_bits=MAX_HASH_BITS)  # one word past the passes
+def test_tokenize_many_equals_tokenize(texts, max_len, hash_bits):
+    counts, ids = tokenize_many(texts, max_len, hash_bits)
+    assert counts.dtype == ids.dtype == np.int64
+    assert len(counts) == len(texts) and counts.sum() == len(ids)
+    ends = np.cumsum(counts).tolist()
+    assert [ids[e - n : e].tolist() for e, n in zip(ends, counts.tolist())] == [
+        tokenize(t, max_len, hash_bits) for t in texts
+    ]
+
+
+def test_tokenize_many_validation():
+    for max_len, hash_bits in ((0, 16), (64, 0), (64, 64)):
+        with pytest.raises(ValueError):
+            tokenize_many(["x"], max_len, hash_bits)
 
 
 def _params(rng, hash_bits=4, dim=6, scale=0.5, identity_proj=False):
