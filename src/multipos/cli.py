@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -28,6 +27,7 @@ from .data import (
     TokenCache,
     assemble_groups,
     attach_hard_negatives,
+    batch_texts,
     check_fit,
     gen_cipher_corpus,
     groups_to_pairs,
@@ -165,14 +165,6 @@ def _train_config(args, default: TrainConfig, **flags) -> TrainConfig:
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _batch_texts(groups: list[SentenceGroup], use_hard_negatives: bool):
-    """Every text make_batches can draw from `groups`."""
-    for g in groups:
-        yield from g.texts.values()
-        if use_hard_negatives and g.hard_negatives:
-            yield from g.hard_negatives.values()
-
-
 def _cmd_train(args) -> None:
     if not args.out:
         raise UsageError("--out must name a directory, got an empty path")
@@ -183,9 +175,9 @@ def _cmd_train(args) -> None:
         raise UsageError(f"--out {args.out} already holds checkpoints ({stale[0]}); give a new directory")
     cfg = _train_config(args, TrainConfig(), seed=args.seed)
     groups = read_groups_jsonl(args.data)
-    # every text a batch can draw, tokenized before the first step
+    check_fit(groups, cfg.k_positives, cfg.use_hard_negatives)  # before any text is tokenized
     tokens = TokenCache()
-    tokens.fill(_batch_texts(groups, cfg.use_hard_negatives), cfg.max_len, cfg.hash_bits)
+    tokens.fill(batch_texts(groups, cfg.use_hard_negatives), cfg.max_len, cfg.hash_bits)
     result = train(cfg, groups, out_dir=args.out, tokens=tokens)
     if result.dropped_tail_groups:
         print(f"dropped {result.dropped_tail_groups} tail groups (batch below 2)", file=sys.stderr)
@@ -397,11 +389,9 @@ def _cmd_compare(args) -> None:
     seen_texts = {lang: _group_texts(groups, lang) for lang in train_langs}
     held_texts = {lang: _group_texts(heldout, lang) for lang in heldout_langs}
     pivot_texts = _group_texts(heldout, pivot) if heldout_langs else []
-    # one cache for both arms' training and evaluations, filled before either trains
+    # one cache for both arms and their evaluations; encode_texts fills what training lacks
     tokens = TokenCache()
-    tokens.fill(
-        itertools.chain(*seen_texts.values(), *held_texts.values(), pivot_texts), base.max_len, base.hash_bits
-    )
+    tokens.fill(batch_texts(groups, base.use_hard_negatives), base.max_len, base.hash_bits)
 
     def enc(params, texts):
         return encode_texts(params, texts, base.max_len, tokens)

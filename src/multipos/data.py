@@ -45,10 +45,10 @@ class TokenCache:
     evaluations. Per (max_len, hash_bits) it keeps one int32 array that
     holds each text's id count followed by its ids, and a dict from
     text to where that count sits: a fraction of the memory of a list
-    of Python ints, or of a bytes object, per text. Ids must fit in
-    int32 (hash_bits up to 31; the encoder stops at MAX_HASH_BITS).
-    `fill` stores many texts through this module's `tokenize_many`; a
-    miss calls this module's `tokenize`. Every call returns a new list.
+    of Python ints, or of a bytes object, per text. Both tokenizers take
+    hash_bits up to MAX_HASH_BITS, so every id fits in int32. `fill`
+    stores many texts through this module's `tokenize_many`; a miss
+    calls this module's `tokenize`. Every call returns a new list.
     """
 
     def __init__(self) -> None:
@@ -62,8 +62,6 @@ class TokenCache:
 
     def fill(self, texts: Iterable[str], max_len: int = 64, hash_bits: int = 16) -> None:
         """Store each of `texts` the cache lacks, tokenized by `tokenize_many` _FILL_BLOCK texts at a time."""
-        if hash_bits > 31:
-            raise ValueError(f"a TokenCache keeps int32 ids: hash_bits must be at most 31, got {hash_bits}")
         where, packed = self._store(max_len, hash_bits)
         texts = iter(texts)
         while chunk := list(itertools.islice(texts, _FILL_BLOCK)):
@@ -234,6 +232,14 @@ def check_fit(groups: Sequence[SentenceGroup], k_positives: int, use_hard_negati
             )
         if use_hard_negatives and not g.hard_negatives:
             raise DatasetMismatchError(f"group {g.id!r} lacks hard negatives")
+
+
+def batch_texts(groups: Iterable[SentenceGroup], use_hard_negatives: bool) -> Iterator[str]:
+    """Every text make_batches can draw: each group text, and each hard negative under use_hard_negatives."""
+    for g in groups:
+        yield from g.texts.values()
+        if use_hard_negatives and g.hard_negatives:
+            yield from g.hard_negatives.values()
 
 
 def make_batches(

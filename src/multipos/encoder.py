@@ -106,16 +106,21 @@ def fnv1a_64(data: bytes, h: int = FNV_OFFSET) -> int:
     return h
 
 
+def _check_token_args(max_len: int, hash_bits: int) -> None:
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    if not 1 <= hash_bits <= MAX_HASH_BITS:
+        raise ValueError(f"hash_bits must be in [1, {MAX_HASH_BITS}], got {hash_bits}")
+
+
 def tokenize(text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
     """Map text to at most max_len hashed token ids.
 
-    Ids land in [1, 2**hash_bits); id 0 is reserved for empty text so an
-    all-punctuation or empty sentence still encodes to something.
+    Ids land in [1, 2**hash_bits), hash_bits in [1, MAX_HASH_BITS]; id 0
+    is reserved for empty text so an all-punctuation or empty sentence
+    still encodes to something.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    if hash_bits < 1:
-        raise ValueError(f"hash_bits must be at least 1, got {hash_bits}")
+    _check_token_args(max_len, hash_bits)
     words = _TOKEN_RE.findall(text.lower())
     if not words:
         return [0]
@@ -133,12 +138,9 @@ def tokenize_many(texts: Sequence[str], max_len: int = 64, hash_bits: int = 16) 
     over a longest-first prefix of the words; uint64 products wrap mod
     2**64 like the hash's mask. The passes stop where passes run plus
     words left is least, as in _segment_sums, and each word left
-    finishes with fnv1a_64. Ids are int64, so hash_bits stops at 63.
+    finishes with fnv1a_64. The arguments are bounded as in `tokenize`.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    if not 1 <= hash_bits <= 63:
-        raise ValueError(f"hash_bits must be in [1, 63], got {hash_bits}")
+    _check_token_args(max_len, hash_bits)
     per_text = [_TOKEN_RE.findall(text.lower())[:max_len] for text in texts]
     n_words = np.fromiter(map(len, per_text), dtype=np.int64, count=len(per_text))
     counts = np.maximum(n_words, 1)  # a text with no word is [0]

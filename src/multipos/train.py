@@ -126,17 +126,6 @@ def load_config(source) -> TrainConfig:
     return TrainConfig(**obj)
 
 
-def _clip_grads(grads: ParamGrads, max_norm: float) -> None:
-    # rows outside grads.rows have a zero gradient and add nothing to the norm
-    total = math.sqrt(
-        float((grads.embedding_table**2).sum()) + float((grads.projection**2).sum())
-    )
-    if total > max_norm:
-        scale = max_norm / total
-        grads.embedding_table *= scale
-        grads.projection *= scale
-
-
 def schedule(step: int, cfg: TrainConfig) -> tuple[str, str, float]:
     """Phase, objective and learning rate for a global step index."""
     if step < 0:
@@ -208,13 +197,16 @@ class _FirstTouchOrder:
         return [flat[e - n : e] for e, n in zip(ends, lengths)]
 
     def clip(self, grads: ParamGrads, max_norm: float) -> None:
-        """_clip_grads with the norm summed over the rows in hashed order."""
-        hashed = np.argsort(self.ids[grads.rows])
-        in_hashed = ParamGrads(
-            self.ids[grads.rows[hashed]], grads.embedding_table[hashed], grads.projection
-        )
-        _clip_grads(in_hashed, max_norm)
-        grads.embedding_table[hashed] = in_hashed.embedding_table  # scaled, back in stored order
+        """Scale grads in place to a norm of at most max_norm, summed over the rows in hashed order.
+
+        Rows outside grads.rows have a zero gradient and add nothing;
+        scaling is elementwise, so it runs on the rows as stored."""
+        hashed = grads.embedding_table[np.argsort(self.ids[grads.rows])]
+        total = math.sqrt(float((hashed**2).sum()) + float((grads.projection**2).sum()))
+        if total > max_norm:
+            scale = max_norm / total
+            grads.embedding_table *= scale
+            grads.projection *= scale
 
     def restore_table(self) -> None:
         """Undo the swaps in reverse: the table in hashed order, the moments as stored."""

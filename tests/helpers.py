@@ -395,13 +395,28 @@ def one_shot_init_table(cfg: TrainConfig, seed) -> np.ndarray:
     return np.clip(table, -edge, edge)
 
 
+def clip_grads(grads: ParamGrads, max_norm: float) -> None:
+    """Reference clip: scale both gradients by max_norm / their norm when the norm exceeds max_norm.
+
+    The norm sums grads.embedding_table in the order its rows are given.
+    """
+    # rows outside grads.rows have a zero gradient and add nothing to the norm
+    total = math.sqrt(
+        float((grads.embedding_table**2).sum()) + float((grads.projection**2).sum())
+    )
+    if total > max_norm:
+        scale = max_norm / total
+        grads.embedding_table *= scale
+        grads.projection *= scale
+
+
 def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
     """Reference training loop: the table and moments stay in hashed row order.
 
     The loop train() ran before it stored rows in first-touch order:
     hashed ids go straight to encode, and Adam, the clip norm and the
-    checkpoints all see hashed order; the clip is looked up in
-    multipos.train at each call. epoch_groups(epoch) gives each
+    checkpoints all see hashed order; the clip is this module's
+    clip_grads, looked up at each call. epoch_groups(epoch) gives each
     epoch's groups. Saves epoch_NNNN.ckpt per epoch and final.ckpt
     under out_dir; returns (params, optimizer state, losses).
     """
@@ -439,7 +454,7 @@ def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
                     grad_rows[n + n * k :] = out.grad_hard_negatives
             grads = encode_backward(params, cache, grad_rows)
             if cfg.max_grad_norm is not None:
-                train_module._clip_grads(grads, cfg.max_grad_norm)
+                clip_grads(grads, cfg.max_grad_norm)
             adam_step(params, opt, grads, lr)
             losses.append(float(out.value))
             step += 1

@@ -200,14 +200,14 @@ def test_compare_recipe_artifacts_keep_their_bytes(artifacts, name):
 def test_off_recipe_training_warms_up_and_clips(artifacts, monkeypatch):
     """The off-recipe digests gate warm-up and the clip: both run in that training."""
     fired = []
-    real = train_module._clip_grads
+    real = train_module._FirstTouchOrder.clip
 
-    def spy(grads, max_norm):
+    def spy(order, grads, max_norm):
         before = grads.embedding_table.copy()
-        real(grads, max_norm)
+        real(order, grads, max_norm)
         fired.append(not np.array_equal(grads.embedding_table, before))
 
-    monkeypatch.setattr(train_module, "_clip_grads", spy)
+    monkeypatch.setattr(train_module._FirstTouchOrder, "clip", spy)
     cfg = train_module.load_config(OFF_RECIPE)
     res = train_module.train(cfg, read_groups_jsonl(str(artifacts["off-recipe data hard.jsonl"])))
     assert [r.phase for r in res.records[:6]] == ["warmup"] * 5 + ["main"]

@@ -78,7 +78,7 @@ def _tiny_train_config(tmp_path, **kw):
     return _write(tmp_path / "config.json", json.dumps(cfg))
 
 
-def test_usage_errors_exit_1(tmp_path, capsys):
+def test_usage_errors_exit_1(tmp_path, capsys, tokenized):
     assert cli.run(["frobnicate"]).exit_code == 1
     assert cli.run(["train", "--data", "x.jsonl"]).exit_code == 1  # --out missing
     capsys.readouterr()
@@ -115,10 +115,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "deep")]).exit_code == 1
     assert "usage error: bad config" in capsys.readouterr().err
 
-    # the dataset-fit check runs before step 0: 3 languages cannot give an anchor and 3 positives
+    # the dataset-fit check runs before step 0 and before any text is tokenized:
+    # 3 languages cannot give an anchor and 3 positives
     cfg = _tiny_train_config(tmp_path, k_positives=3)
     assert cli.run(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "fit")]).exit_code == 1
     assert "usage error: config does not fit the dataset" in capsys.readouterr().err
+    assert tokenized == []
 
     # a file with no groups fits no config, in train and in compare
     empty = _write(tmp_path / "empty.jsonl", "")

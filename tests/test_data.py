@@ -255,8 +255,11 @@ def test_token_cache_fill_blocks_and_refill(monkeypatch):
     cache.fill(texts[:3], 2, 12)
     assert blocks[-1] == 3 and len(packed) == size
     assert [cache(t, 2, 12) for t in texts[:3]] == [tokenize(t, 2, 12) for t in texts[:3]]
-    with pytest.raises(ValueError, match="at most 31"):
+    # the tokenizers' bound is the cache's, on a fill and on a miss
+    with pytest.raises(ValueError, match=r"hash_bits must be in \[1, 24\], got 32"):
         cache.fill(["x"], 64, 32)
+    with pytest.raises(ValueError, match=r"hash_bits must be in \[1, 24\], got 32"):
+        TokenCache()("x", 64, 32)
 
 
 def test_make_batches_validation_names_group():

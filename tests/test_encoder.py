@@ -68,8 +68,9 @@ def test_tokenize_id_range():
         assert all(1 <= i < (1 << bits) for i in ids)
     with pytest.raises(ValueError):
         tokenize("x", max_len=0)
-    with pytest.raises(ValueError):
-        tokenize("x", hash_bits=0)
+    for bits in (0, MAX_HASH_BITS + 1):
+        with pytest.raises(ValueError):
+            tokenize("x", hash_bits=bits)
 
 
 # characters where lowercasing, \w or UTF-8 width is easy to get wrong: NUL,
@@ -97,7 +98,7 @@ def test_tokenize_many_equals_tokenize(texts, max_len, hash_bits):
 
 
 def test_tokenize_many_validation():
-    for max_len, hash_bits in ((0, 16), (64, 0), (64, 64)):
+    for max_len, hash_bits in ((0, 16), (64, 0), (64, MAX_HASH_BITS + 1), (64, 64)):
         with pytest.raises(ValueError):
             tokenize_many(["x"], max_len, hash_bits)
 

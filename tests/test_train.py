@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 
 from multipos.data import DatasetMismatchError, SentenceGroup, TokenCache, gen_cipher_corpus
-from multipos.encoder import load_checkpoint, tokenize
+from multipos.encoder import ModelParams, OptimizerState, ParamGrads, load_checkpoint, tokenize
 from multipos.train import (
     NonFiniteLossError,
     TrainConfig,
-    _clip_grads,
+    _FirstTouchOrder,
     init_params,
     load_config,
     schedule,
     train,
 )
 
+import helpers
 from helpers import (
+    clip_grads,
     dense_adam_step,
     dense_encode_backward,
     densify,
@@ -430,16 +432,20 @@ def test_training_matches_hashed_order_oracle(tmp_path, monkeypatch, objective, 
         epochs=3, k_positives=2, use_hard_negatives=True, warmup_enabled=True, warmup_steps=3,
         objective=objective, hash_bits=hash_bits, max_grad_norm=max_grad_norm,
     )
-    train_mod = sys.modules["multipos.train"]
-    clip = train_mod._clip_grads
     norms, clipped = [], []
 
-    def spy_clip(grads, max_norm):
-        norms.append(math.hypot(np.linalg.norm(grads.embedding_table), np.linalg.norm(grads.projection)))
-        clip(grads, max_norm)
-        clipped.append(grads.projection.tobytes())  # scaled by max_norm / the norm summed
+    def spying(clip):
+        # train()'s clip takes the order first; the reference loop's takes none
+        def spy(*args):
+            grads, max_norm = args[-2:]
+            norms.append(math.hypot(np.linalg.norm(grads.embedding_table), np.linalg.norm(grads.projection)))
+            clip(*args)
+            clipped.append(grads.projection.tobytes())  # scaled by max_norm / the norm summed
 
-    monkeypatch.setattr(train_mod, "_clip_grads", spy_clip)
+        return spy
+
+    monkeypatch.setattr(_FirstTouchOrder, "clip", spying(_FirstTouchOrder.clip))
+    monkeypatch.setattr(helpers, "clip_grads", spying(clip_grads))
     trace = _spy_prefix(monkeypatch)
     got = train(cfg, _oracle_groups, out_dir=str(tmp_path / "got"))
     (tmp_path / "want").mkdir()
@@ -474,14 +480,39 @@ def test_training_matches_hashed_order_oracle(tmp_path, monkeypatch, objective, 
     assert not got_opt.m_table[live:].view(np.uint32).any() and not got_opt.v_table[live:].view(np.uint32).any()
 
 
-def test_clip_grads():
+def _order(hash_bits, dim):
+    table = np.zeros((1 << hash_bits, dim), np.float32)
+    params = ModelParams(table, np.eye(dim, dtype=np.float32), hash_bits, dim)
+    return _FirstTouchOrder(params, OptimizerState.fresh(params))
+
+
+def test_first_touch_order_clip():
+    # the identity order: stored rows are hashed rows
+    order = _order(1, 2)
     g = full_grads(np.full((2, 2), 3.0), np.full((2, 2), 4.0))
-    _clip_grads(g, 5.0)  # total norm is 10, so everything halves
+    order.clip(g, 5.0)  # total norm is 10, so everything halves
     assert np.array_equal(densify(g, 2), np.full((2, 2), 1.5))
     assert np.array_equal(g.projection, np.full((2, 2), 2.0))
     before = densify(g, 2)
-    _clip_grads(g, 100.0)
+    order.clip(g, 100.0)
     assert np.array_equal(densify(g, 2), before)
+
+    # a permuted order: the norm sums the rows in hashed order, as the
+    # reference clip does on a table kept in hashed order
+    rng = np.random.default_rng(9)
+    order = _order(8, 4)
+    order.relabel([rng.integers(256, size=9).tolist() for _ in range(12)])
+    stored = np.arange(order.opt.live)
+    g = ParamGrads(stored, rng.normal(size=(len(stored), 4)), rng.normal(size=(4, 4)))
+    hashed = np.argsort(order.ids[stored])
+    want = ParamGrads(order.ids[stored][hashed], g.embedding_table[hashed], g.projection.copy())
+    clip_grads(want, 1.0)
+    as_stored = ParamGrads(stored, g.embedding_table.copy(), g.projection.copy())
+    clip_grads(as_stored, 1.0)  # these rows summed as stored scale by another last bit
+    order.clip(g, 1.0)
+    assert g.embedding_table[hashed].tobytes() == want.embedding_table.tobytes()
+    assert g.projection.tobytes() == want.projection.tobytes() != as_stored.projection.tobytes()
+    assert math.hypot(np.linalg.norm(g.embedding_table), np.linalg.norm(g.projection)) == pytest.approx(1.0)
 
 
 def test_training_with_clipping_runs():
