@@ -38,6 +38,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
     tokenize,
+    tokenize_many,
 )
 from .evaluation import (
     EvalReport,
@@ -87,6 +88,7 @@ __all__ = [
     "spearman",
     "sts_eval",
     "tokenize",
+    "tokenize_many",
     "train",
     "write_groups_jsonl",
 ]

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import tokenize, tokenize_many
+from .encoder import _id_lists, tokenize, tokenize_many
 
 
 class DataFormatError(ValueError):
@@ -47,8 +47,9 @@ class TokenCache:
     text to where that count sits: a fraction of the memory of a list
     of Python ints, or of a bytes object, per text. Both tokenizers take
     hash_bits up to MAX_HASH_BITS, so every id fits in int32. `fill`
-    stores many texts through this module's `tokenize_many`; a miss
-    calls this module's `tokenize`. Every call returns a new list.
+    stores many texts through this module's `tokenize_many`; `lookup`
+    stores the texts it lacks through this module's `tokenize`, then
+    reads every text's ids at once.
     """
 
     def __init__(self) -> None:
@@ -72,17 +73,31 @@ class TokenCache:
                 where.update(zip(block, (len(packed) + starts + np.arange(len(block))).tolist()))
                 packed.frombytes(np.insert(ids, starts, counts).astype(np.intc).tobytes())
 
-    def __call__(self, text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
+    def lookup(
+        self, texts: Sequence[str], max_len: int = 64, hash_bits: int = 16
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`tokenize_many(texts, max_len, hash_bits)` read from the cache: int64 id counts and ids.
+
+        A text the cache lacks is first stored through `tokenize`, once
+        per distinct text; then one gather reads every text's ids.
+        """
         where, packed = self._store(max_len, hash_bits)
-        at = where.get(text)
-        if at is not None:
-            return packed[at + 1 : at + 1 + packed[at]].tolist()
-        ids = tokenize(text, max_len=max_len, hash_bits=hash_bits)
-        at = len(packed)
-        packed.append(len(ids))
-        packed.extend(ids)
-        where[text] = at
-        return ids
+        for text in texts:
+            if text not in where:  # a repeat of a text is stored by now
+                ids = tokenize(text, max_len=max_len, hash_bits=hash_bits)
+                where[text] = len(packed)
+                packed.append(len(ids))
+                packed.extend(ids)
+        at = np.fromiter(map(where.__getitem__, texts), dtype=np.int64, count=len(texts))
+        # a view of the store: the gathers copy out of it, and it is gone
+        # before the store can grow (an array with a view alive cannot resize)
+        store = np.frombuffer(packed, dtype=np.intc)
+        counts = store[at].astype(np.int64)
+        # id j of text i sits at at[i] + 1 + j
+        first = np.repeat(at + 1 - (np.cumsum(counts) - counts), counts)
+        ids = store[first + np.arange(len(first))].astype(np.int64)
+        del store
+        return counts, ids
 
 
 @dataclass
@@ -110,20 +125,40 @@ class PairRecord:
 
 @dataclass
 class TrainingBatch:
-    """Tokenized batch: N anchors, N x K positives, optional hard negatives.
+    """Tokenized batch of N groups, in the form `encode` takes.
 
-    Row i of each field comes from the same group; anchor_langs names
-    each anchor's language for error messages.
+    lengths holds one id count per sequence and ids their ids end to
+    end, in encode order: N anchors, then N x K positives row by row,
+    then N hard negatives when has_hard_negatives. Row i of each part
+    comes from group i; anchor_langs names each anchor's language for
+    error messages. The nested id lists are rebuilt on request.
     """
 
-    anchors: list[list[int]]
-    positives: list[list[list[int]]]
+    lengths: np.ndarray
+    ids: np.ndarray
+    k: int
     anchor_langs: list[str]
-    hard_negatives: list[list[int]] | None = None
+    has_hard_negatives: bool
 
     @property
     def size(self) -> int:
-        return len(self.anchors)
+        return len(self.anchor_langs)
+
+    @property
+    def anchors(self) -> list[list[int]]:
+        return _id_lists(self.lengths, self.ids)[: self.size]
+
+    @property
+    def positives(self) -> list[list[list[int]]]:
+        n, k = self.size, self.k
+        seqs = _id_lists(self.lengths, self.ids)[n : n + n * k]
+        return [seqs[i * k : (i + 1) * k] for i in range(n)]
+
+    @property
+    def hard_negatives(self) -> list[list[int]] | None:
+        if not self.has_hard_negatives:
+            return None
+        return _id_lists(self.lengths, self.ids)[self.size * (1 + self.k) :]
 
 
 @dataclass
@@ -258,8 +293,9 @@ def make_batches(
     Per group the anchor language is uniform and the K positive
     languages are sampled uniformly without replacement from the rest.
     A final batch smaller than 2 is dropped (no in-batch negatives).
-    Groups that fail check_fit raise DatasetMismatchError. Texts are
-    tokenized through `tokens`, a fresh TokenCache when none is given.
+    Groups that fail check_fit raise DatasetMismatchError. Each batch
+    reads its texts in one `lookup` of `tokens`, a fresh TokenCache
+    when none is given.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be at least 2, got {batch_size}")
@@ -272,9 +308,6 @@ def make_batches(
     if tokens is None:
         tokens = TokenCache()
 
-    def tok(text: str) -> list[int]:
-        return tokens(text, max_len, hash_bits)
-
     def flush(chunk: list[int]) -> TrainingBatch:
         anchors, positives, a_langs, hns = [], [], [], []
         for gi in chunk:
@@ -283,14 +316,15 @@ def make_batches(
             anchor = langs[int(rng.integers(len(langs)))]
             rest = [l for l in langs if l != anchor]
             picked = [rest[i] for i in rng.choice(len(rest), size=k_positives, replace=False)]
-            anchors.append(tok(g.texts[anchor]))
+            anchors.append(g.texts[anchor])
             a_langs.append(anchor)
-            positives.append([tok(g.texts[l]) for l in picked])
+            positives.extend(g.texts[l] for l in picked)
             if use_hard_negatives:
                 hn_options = sorted(g.hard_negatives)
                 hn = hn_options[int(rng.integers(len(hn_options)))]
-                hns.append(tok(g.hard_negatives[hn]))
-        return TrainingBatch(anchors, positives, a_langs, hns if use_hard_negatives else None)
+                hns.append(g.hard_negatives[hn])
+        lengths, ids = tokens.lookup(anchors + positives + hns, max_len, hash_bits)
+        return TrainingBatch(lengths, ids, k_positives, a_langs, use_hard_negatives)
 
     for start in range(0, len(order), batch_size):
         chunk = [int(i) for i in order[start : start + batch_size]]

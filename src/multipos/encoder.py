@@ -9,10 +9,10 @@ passes run in float64 so finite-difference checks hold; the Adam
 update itself runs vectorized in float32, which keeps checkpoint round
 trips bitwise exact.
 
-A batch is flattened once into flat token ids plus per-sequence
-lengths, and both float64 sums in the hot loop are one ordered
-segment sum, _segment_sums: the pool sums each sequence's table rows,
-and the table gradient sums each touched row's per-token gradients.
+A batch arrives as flat token ids plus per-sequence lengths, and both
+float64 sums in the hot loop are one ordered segment sum,
+_segment_sums: the pool sums each sequence's table rows, and the table
+gradient sums each touched row's per-token gradients.
 Every segment starts at +0.0 and adds its terms in order, the bytes of
 a per-sequence mean(axis=0, dtype=float64) and of np.add.at into
 zeros. The sums run as passes that add the j-th term of every segment
@@ -207,9 +207,7 @@ class EncodeCache:
     @property
     def token_ids(self) -> list[list[int]]:
         """The batch's id lists, rebuilt from flat_ids and lengths."""
-        flat = self.flat_ids.tolist()
-        lengths = self.lengths.tolist()
-        return [flat[e - n : e] for e, n in zip(itertools.accumulate(lengths), lengths)]
+        return _id_lists(self.lengths, self.flat_ids)
 
 
 @dataclass
@@ -223,24 +221,6 @@ class ParamGrads:
     rows: np.ndarray
     embedding_table: np.ndarray
     projection: np.ndarray
-
-
-def _flatten(token_id_lists: list[list[int]], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Checked flat ids and per-sequence lengths of a batch."""
-    if len(token_id_lists) == 0:
-        raise ValueError("cannot encode an empty batch")
-    lengths = np.fromiter(map(len, token_id_lists), dtype=np.intp, count=len(token_id_lists))
-    empty = np.flatnonzero(lengths == 0)
-    if len(empty):
-        raise ValueError(f"sequence {empty[0]} is empty; tokenize maps empty text to [0]")
-    flat = np.fromiter(
-        itertools.chain.from_iterable(token_id_lists), dtype=np.intp, count=int(lengths.sum())
-    )
-    bad = (flat < 0) | (flat >= rows)
-    if bad.any():
-        seq = np.searchsorted(np.cumsum(lengths), np.argmax(bad), side="right")
-        raise ValueError(f"sequence {seq} has token ids outside [0, {rows})")
-    return flat, lengths
 
 
 def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,9 +264,38 @@ def _segment_sums(src: np.ndarray, idx: np.ndarray, starts: np.ndarray, counts: 
     return out
 
 
-def encode(params: ModelParams, token_id_lists: list[list[int]]) -> tuple[np.ndarray, EncodeCache]:
-    """Encode token-id lists to unit-norm rows, returning a replay cache."""
-    flat, lengths = _flatten(token_id_lists, params.embedding_table.shape[0])
+def _id_lists(lengths: np.ndarray, ids: np.ndarray) -> list[list[int]]:
+    """Sequence s's ids, the lengths[s] that follow the first sum(lengths[:s]), as lists."""
+    flat = ids.tolist()
+    lengths = lengths.tolist()
+    return [flat[e - n : e] for e, n in zip(itertools.accumulate(lengths), lengths)]
+
+
+def encode(params: ModelParams, lengths: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
+    """Encode sequences to unit-norm rows, returning a replay cache.
+
+    lengths holds each sequence's id count and ids every sequence's ids
+    end to end, as tokenize_many returns them: sequence s is the
+    lengths[s] ids that follow the first sum(lengths[:s]).
+    """
+    rows = params.embedding_table.shape[0]
+    for name, a in (("lengths", lengths), ("ids", ids)):
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and np.issubdtype(a.dtype, np.integer)):
+            raise ValueError(f"{name} must be a 1-d integer array")
+    if len(lengths) == 0:
+        raise ValueError("cannot encode an empty batch")
+    short = np.flatnonzero(lengths < 1)
+    if len(short):
+        s = short[0]
+        raise ValueError(f"sequence {s} has length {lengths[s]}; tokenize maps empty text to [0]")
+    total = int(lengths.sum())
+    if total != len(ids):
+        # a wrong sum would pool the wrong segments without a sign
+        raise ValueError(f"lengths sum to {total}, but there are {len(ids)} ids")
+    if ids.min() < 0 or ids.max() >= rows:
+        seq = np.searchsorted(np.cumsum(lengths), np.argmax((ids < 0) | (ids >= rows)), side="right")
+        raise ValueError(f"sequence {seq} has token ids outside [0, {rows})")
+    lengths, flat = lengths.astype(np.intp, copy=False), ids.astype(np.intp, copy=False)
     pooled = _segment_sums(params.embedding_table, flat, np.cumsum(lengths) - lengths, lengths)
     pooled /= lengths[:, None]
     projected = pooled @ params.projection.astype(np.float64)

@@ -45,14 +45,15 @@ def encode_texts(
 ) -> np.ndarray:
     """Unit-norm embeddings of texts, tokenized through `tokens` (a fresh TokenCache by default).
 
-    The texts `tokens` lacks are filled in first, in one `TokenCache.fill`.
+    The texts `tokens` lacks are filled in first, in one `TokenCache.fill`;
+    one `TokenCache.lookup` then reads them all.
     """
     if len(texts) == 0:
         raise ValueError("no texts to encode")
     if tokens is None:
         tokens = TokenCache()
     tokens.fill(texts, max_len, params.hash_bits)
-    return encode(params, [tokens(t, max_len, params.hash_bits) for t in texts])[0]
+    return encode(params, *tokens.lookup(texts, max_len, params.hash_bits))[0]
 
 
 def _check_rows(name: str, x: np.ndarray) -> np.ndarray:

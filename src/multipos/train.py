@@ -9,7 +9,6 @@ and seed, two runs produce bit-identical checkpoints.
 from __future__ import annotations
 
 import glob
-import itertools
 import json
 import math
 import numbers
@@ -170,10 +169,8 @@ class _FirstTouchOrder:
         self.ids = np.arange(len(params.embedding_table))
         self.swaps: list[np.ndarray] = []  # per batch: a (2, n) array of positions
 
-    def relabel(self, seqs: list[list[int]]) -> list[list[int]]:
-        """Admit the batch's unseen rows; its id lists as stored positions."""
-        lengths = list(map(len, seqs))
-        hashed = np.fromiter(itertools.chain.from_iterable(seqs), np.intp, sum(lengths))
+    def relabel(self, hashed: np.ndarray) -> np.ndarray:
+        """Admit the unseen rows of a batch's hashed ids; those ids as stored positions."""
         at = self.pos[hashed]
         live = self.opt.live
         # sorted unique by hand: np.unique imports numpy.ma, 1.6 MB of RSS
@@ -192,9 +189,7 @@ class _FirstTouchOrder:
             self.pos[self.ids[pairs]] = pairs
             self.swaps.append(pairs)
         self.opt.live = end
-        flat = self.pos[hashed].tolist()
-        ends = itertools.accumulate(lengths)
-        return [flat[e - n : e] for e, n in zip(ends, lengths)]
+        return self.pos[hashed]
 
     def clip(self, grads: ParamGrads, max_norm: float) -> None:
         """Scale grads in place to a norm of at most max_norm, summed over the rows in hashed order.
@@ -310,17 +305,11 @@ def train(
                 tokens=tokens,
             ):
                 phase, objective, lr = schedule(step, cfg)
-                n = batch.size
-                k = len(batch.positives[0])
-                flat = list(batch.anchors)
-                for row in batch.positives:
-                    flat.extend(row)
-                if batch.hard_negatives:
-                    flat.extend(batch.hard_negatives)
-                embs, cache = encode(params, order.relabel(flat))
+                n, k = batch.size, batch.k
+                embs, cache = encode(params, batch.lengths, order.relabel(batch.ids))
                 anchors = embs[:n]
                 positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
-                hard = embs[n + n * k :] if batch.hard_negatives else None
+                hard = embs[n + n * k :] if batch.has_hard_negatives else None
 
                 grad_rows = np.zeros_like(embs)
                 if objective == "single":

@@ -19,7 +19,7 @@ settings.load_profile("repo")
 def tokenized(monkeypatch):
     """Every text passed to `multipos.data.tokenize` or `multipos.data.tokenize_many`.
 
-    Those are the names a TokenCache miss and `TokenCache.fill` call.
+    Those are the names a `TokenCache.lookup` miss and `TokenCache.fill` call.
     """
     import multipos.data
 

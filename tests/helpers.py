@@ -327,6 +327,12 @@ def densify(grads: ParamGrads, rows_total: int) -> np.ndarray:
     return table
 
 
+def flat_batch(token_id_lists) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, ids) of a batch of id lists: the arguments encode takes after params."""
+    lengths = np.array([len(ids) for ids in token_id_lists], dtype=np.intp)
+    return lengths, np.array([i for ids in token_id_lists for i in ids], dtype=np.intp)
+
+
 def loop_encode(params: ModelParams, token_id_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference forward pass, one sequence at a time: (output, pooled, projected)."""
     pooled = np.empty((len(token_id_lists), params.dim), dtype=np.float64)
@@ -414,9 +420,10 @@ def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
     """Reference training loop: the table and moments stay in hashed row order.
 
     The loop train() ran before it stored rows in first-touch order:
-    hashed ids go straight to encode, and Adam, the clip norm and the
-    checkpoints all see hashed order; the clip is this module's
-    clip_grads, looked up at each call. epoch_groups(epoch) gives each
+    hashed ids, joined from the batch's nested id lists in encode order,
+    go straight to encode, and Adam, the clip norm and the checkpoints
+    all see hashed order; the clip is this module's clip_grads, looked
+    up at each call. epoch_groups(epoch) gives each
     epoch's groups. Saves epoch_NNNN.ckpt per epoch and final.ckpt
     under out_dir; returns (params, optimizer state, losses).
     """
@@ -434,7 +441,7 @@ def hashed_train(cfg: TrainConfig, epoch_groups, out_dir: str):
             k = len(batch.positives[0])
             seqs = list(batch.anchors) + [ids for row in batch.positives for ids in row]
             seqs += batch.hard_negatives or []
-            embs, cache = encode(params, seqs)
+            embs, cache = encode(params, *flat_batch(seqs))
             anchors = embs[:n]
             positives = embs[n : n + n * k].reshape(n, k, cfg.dim)
             grad_rows = np.zeros_like(embs)

@@ -25,6 +25,7 @@ from helpers import (
     candidate_score_rows,
     central_diff,
     densify,
+    flat_batch,
     grad_rel_err,
     loss_oracle,
     margined_instance,
@@ -82,10 +83,10 @@ def _e2e_fd_worst(seeds) -> float:
         ]
 
         def forward() -> float:
-            embs, _ = encode(params, batch)
+            embs, _ = encode(params, *flat_batch(batch))
             return multi_positive_loss(embs[:3], embs[3:12].reshape(3, 3, 8), **cfg).value
 
-        embs, cache = encode(params, batch)
+        embs, cache = encode(params, *flat_batch(batch))
         out = multi_positive_loss(embs[:3], embs[3:12].reshape(3, 3, 8), **cfg)
         grad_rows = np.concatenate([out.grad_anchor, out.grad_positives.reshape(9, 8)])
         grads = encode_backward(params, cache, grad_rows)

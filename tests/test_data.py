@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cipher_corpus_oracle
+from helpers import cipher_corpus_oracle, flat_batch
 from multipos import data as data_mod
 from multipos.data import (
     DataFormatError,
@@ -25,7 +25,7 @@ from multipos.data import (
     write_groups_jsonl,
     write_pairs_tsv,
 )
-from multipos.encoder import tokenize
+from multipos.encoder import tokenize, tokenize_many
 
 
 def test_group_and_pair_validation():
@@ -209,28 +209,62 @@ def test_make_batches_determinism():
     assert snapshot(7) != snapshot(8)
 
 
+def _assert_lookup(cache, texts, max_len, hash_bits):
+    """cache.lookup(texts) equals per-text tokenize, laid out as encode takes it; returns it."""
+    lengths, ids = cache.lookup(texts, max_len, hash_bits)
+    want = flat_batch([tokenize(t, max_len, hash_bits) for t in texts])
+    assert lengths.dtype == ids.dtype == np.int64
+    assert (lengths.tolist(), ids.tolist()) == (want[0].tolist(), want[1].tolist())
+    return lengths, ids
+
+
 @given(
-    text=st.text(),
+    texts=st.lists(st.one_of(st.text(max_size=40), st.sampled_from(["", " ", "...", "?!", "A a, a"])),
+                   min_size=1, max_size=10),
+    repeats=st.lists(st.integers(0, 99), max_size=6),
+    filled=st.lists(st.integers(0, 99), max_size=6),
     max_len=st.integers(1, 80),
     hash_bits=st.integers(1, 24),
     other_bits=st.integers(1, 24),
-    filled=st.booleans(),
 )
-def test_token_cache_returns_tokenize_ids(text, max_len, hash_bits, other_bits, filled):
+def test_token_cache_returns_tokenize_ids(texts, repeats, filled, max_len, hash_bits, other_bits):
     cache = TokenCache()
-    if filled:  # the first lookup reads what fill stored
-        cache.fill([text, text], max_len, hash_bits)
-    want = tokenize(text, max_len, hash_bits)
-    first = cache(text, max_len, hash_bits)
-    assert first == want
-    first.append(-1)  # a caller's edit must not reach the next lookup
-    again = cache(text, max_len, hash_bits)
-    assert again == want and again is not first
-    again.clear()
-    assert cache(text, max_len, hash_bits) == want
+    # some texts filled first, the rest missed; some asked for twice in one call
+    cache.fill([texts[i % len(texts)] for i in filled], max_len, hash_bits)
+    query = texts + [texts[i % len(texts)] for i in repeats]
+    lengths, ids = _assert_lookup(cache, query, max_len, hash_bits)
+    counts, many = tokenize_many(query, max_len, hash_bits)
+    assert np.array_equal(lengths, counts) and np.array_equal(ids, many)
+    ids[:] = -1  # a caller's edit must not reach the next lookup
+    _assert_lookup(cache, query, max_len, hash_bits)
     # one text under two hash widths keeps each width's own ids
-    assert cache(text, max_len, other_bits) == tokenize(text, max_len, other_bits)
-    assert cache(text, max_len, hash_bits) == want
+    _assert_lookup(cache, query, max_len, other_bits)
+    _assert_lookup(cache, query[::-1], max_len, hash_bits)
+
+
+def test_token_cache_lookup_tokenizes_each_missing_text_once(tokenized, monkeypatch):
+    cache = TokenCache()
+    cache.fill(["a b", "c"])
+    tokenized.clear()
+    monkeypatch.setattr(data_mod, "tokenize_many", None)  # a miss goes through tokenize alone
+    _assert_lookup(cache, ["c", "d e", "a b", "d e", "", "f", "", "c"], 64, 16)
+    assert tokenized == ["d e", "", "f"]
+    _assert_lookup(cache, ["f", "d e", "a b"], 64, 16)
+    assert tokenized == ["d e", "", "f"]
+
+
+def test_token_cache_store_grows_after_lookup():
+    cache = TokenCache()
+    kept = _assert_lookup(cache, ["a b", "c"], 64, 12)
+    packed = cache._stores[64, 12][1]
+    size = len(packed)
+    # with the returned arrays alive, a miss and a fill still grow the store:
+    # no view of it is left to make the array refuse to resize
+    _assert_lookup(cache, ["d", "a b"], 64, 12)
+    cache.fill([f"w{i}" for i in range(3000)], 64, 12)
+    assert len(packed) == size + 2 + 3000 * 2
+    assert [a.tolist() for a in kept] == [[2, 1], tokenize("a b", 64, 12) + tokenize("c", 64, 12)]
+    _assert_lookup(cache, ["w2999", "c", "w0"], 64, 12)
 
 
 def test_token_cache_fill_blocks_and_refill(monkeypatch):
@@ -246,20 +280,63 @@ def test_token_cache_fill_blocks_and_refill(monkeypatch):
     cache = TokenCache()
     cache.fill(texts + texts[::-1], 64, 12)  # each text twice, tokenized once
     assert blocks == [1024, 1024, 454]
-    assert [cache(t, 64, 12) for t in texts] == [tokenize(t, 64, 12) for t in texts]
     packed = cache._stores[64, 12][1]
     size = len(packed)
+    _assert_lookup(cache, texts, 64, 12)
+    assert len(packed) == size  # every text was stored: the lookup tokenized none
     cache.fill(iter(texts[100:900]), 64, 12)
     assert blocks == [1024, 1024, 454] and len(packed) == size
     # another max_len is another store, filled on its own
     cache.fill(texts[:3], 2, 12)
     assert blocks[-1] == 3 and len(packed) == size
-    assert [cache(t, 2, 12) for t in texts[:3]] == [tokenize(t, 2, 12) for t in texts[:3]]
+    _assert_lookup(cache, texts[:3], 2, 12)
     # the tokenizers' bound is the cache's, on a fill and on a miss
     with pytest.raises(ValueError, match=r"hash_bits must be in \[1, 24\], got 32"):
         cache.fill(["x"], 64, 32)
     with pytest.raises(ValueError, match=r"hash_bits must be in \[1, 24\], got 32"):
-        TokenCache()("x", 64, 32)
+        TokenCache().lookup(["x"], 64, 32)
+
+
+def test_make_batches_lays_out_the_drawn_texts_in_encode_order():
+    langs = ["a", "b", "c", "d"]
+    groups = [SentenceGroup(f"g{i}", {l: f"{l} text {i} more{i % 3}" for l in langs}) for i in range(11)]
+    groups[3].texts["b"] = "?!"  # tokenizes to [0]
+    for g in groups:
+        g.hard_negatives = {l: f"hn {l} {g.id}" for l in ("a", "c")}
+    k, max_len, hash_bits = 2, 3, 9
+    batches = list(make_batches(
+        groups, 4, k, [5, 1], max_len=max_len, hash_bits=hash_bits, use_hard_negatives=True
+    ))
+    # the reference draws group by group, in the order make_batches makes them
+    rng = np.random.default_rng([5, 1])
+    order = rng.permutation(len(groups))
+    assert [b.size for b in batches] == [4, 4, 3]
+    for b, start in zip(batches, (0, 4, 8)):
+        anchors, positives, hard, a_langs = [], [], [], []
+        for gi in order[start : start + 4]:
+            g = groups[gi]
+            ls = sorted(g.texts)
+            anchor = ls[int(rng.integers(len(ls)))]
+            rest = [l for l in ls if l != anchor]
+            positives += [g.texts[rest[i]] for i in rng.choice(len(rest), size=k, replace=False)]
+            hn_langs = sorted(g.hard_negatives)
+            hard.append(g.hard_negatives[hn_langs[int(rng.integers(len(hn_langs)))]])
+            anchors.append(g.texts[anchor])
+            a_langs.append(anchor)
+        want = [tokenize(t, max_len, hash_bits) for t in anchors + positives + hard]
+        lengths, ids = flat_batch(want)
+        assert b.lengths.tolist() == lengths.tolist() and b.ids.tolist() == ids.tolist()
+        assert b.anchor_langs == a_langs and b.k == k and b.has_hard_negatives
+        n = b.size
+        assert b.anchors == want[:n]
+        assert b.positives == [want[n + i * k : n + (i + 1) * k] for i in range(n)]
+        assert b.hard_negatives == want[n * (1 + k) :]
+
+    # without hard negatives a batch holds N(K+1) sequences
+    (b, *_) = make_batches(groups, 4, k, [5, 1], max_len=max_len, hash_bits=hash_bits)
+    assert len(b.lengths) == 4 * (1 + k) and not b.has_hard_negatives and b.hard_negatives is None
+    seqs = [a.tolist() for a in np.split(b.ids, np.cumsum(b.lengths)[:-1])]
+    assert b.anchors + [p for row in b.positives for p in row] == seqs
 
 
 def test_make_batches_validation_names_group():

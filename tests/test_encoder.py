@@ -36,6 +36,7 @@ from helpers import (
     dense_adam_step,
     dense_encode_backward,
     densify,
+    flat_batch,
     full_grads,
     grad_rel_err,
     loop_encode,
@@ -127,17 +128,17 @@ def test_encode_unit_norms_and_determinism():
     rng = np.random.default_rng(1)
     params = _params(rng, hash_bits=6, dim=8, scale=3.0)
     batch = [list(rng.integers(0, 64, size=rng.integers(1, 12))) for _ in range(200)]
-    embs, _ = encode(params, batch)
+    embs, _ = encode(params, *flat_batch(batch))
     norms = np.linalg.norm(embs, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-9
-    embs2, _ = encode(params, batch)
+    embs2, _ = encode(params, *flat_batch(batch))
     assert embs.tobytes() == embs2.tobytes()
 
 
 def test_encode_identical_sentences_identical_rows():
     rng = np.random.default_rng(2)
     params = _params(rng)
-    embs, _ = encode(params, [[1, 2, 3], [1, 2, 3], [4]])
+    embs, _ = encode(params, *flat_batch([[1, 2, 3], [1, 2, 3], [4]]))
     assert np.array_equal(embs[0], embs[1])
     assert not np.array_equal(embs[0], embs[2])
 
@@ -145,7 +146,7 @@ def test_encode_identical_sentences_identical_rows():
 def test_encode_single_token_identity_projection():
     rng = np.random.default_rng(3)
     params = _params(rng, identity_proj=True)
-    embs, _ = encode(params, [[5]])
+    embs, _ = encode(params, *flat_batch([[5]]))
     row = params.embedding_table[5].astype(np.float64)
     expected = row / (np.linalg.norm(row) + 1e-12)
     assert np.abs(embs[0] - expected).max() <= 1e-12
@@ -154,23 +155,54 @@ def test_encode_single_token_identity_projection():
 def test_encode_errors():
     rng = np.random.default_rng(4)
     params = _params(rng)
+
+    def ints(*xs, dtype=np.intp):
+        return np.array(xs, dtype=dtype)
+
+    # both arguments are 1-d integer arrays
+    for lengths, ids in (
+        ([1, 2], ints(1, 2, 3)),
+        (ints(1, 2), [1, 2, 3]),
+        (ints(1, 2).astype(np.float64), ints(1, 2, 3)),
+        (ints(1, 2), ints(1, 2, 3).astype(np.float32)),
+        (ints(1, 2) > 0, ints(1, 2, 3)),
+        (ints(1, 2)[None], ints(1, 2, 3)),
+        (ints(3), ints(1, 2, 3)[None]),
+    ):
+        with pytest.raises(ValueError, match=r"^(lengths|ids) must be a 1-d integer array$"):
+            encode(params, lengths, ids)
     with pytest.raises(ValueError, match="empty batch"):
-        encode(params, [])
-    with pytest.raises(ValueError, match="sequence 1 is empty"):
-        encode(params, [[1], []])
-    with pytest.raises(ValueError, match="sequence 2 is empty"):
-        encode(params, [[1], [2, 3], [], []])
+        encode(params, ints(), ints())
+    # every length is at least 1
+    with pytest.raises(ValueError, match=r"sequence 1 has length 0; tokenize maps empty text to \[0\]"):
+        encode(params, *flat_batch([[1], []]))
+    with pytest.raises(ValueError, match="sequence 2 has length 0"):
+        encode(params, *flat_batch([[1], [2, 3], [], []]))
+    with pytest.raises(ValueError, match="sequence 1 has length -1"):
+        encode(params, ints(3, -1, 1), ints(1, 2, 3))
+    # the lengths cover the ids exactly: one id short, one id over
+    with pytest.raises(ValueError, match="lengths sum to 3, but there are 2 ids"):
+        encode(params, ints(1, 2), ints(1, 2))
+    with pytest.raises(ValueError, match="lengths sum to 3, but there are 4 ids"):
+        encode(params, ints(1, 2), ints(1, 2, 3, 4))
+    # every id is in [0, rows)
     with pytest.raises(ValueError, match=r"sequence 0 has token ids outside \[0, 16\)"):
-        encode(params, [[16]])  # out of range for hash_bits=4
+        encode(params, *flat_batch([[16]]))  # out of range for hash_bits=4
     with pytest.raises(ValueError, match="sequence 2 has token ids outside"):
-        encode(params, [[1, 2], [3], [4, -1, 5], [99]])
+        encode(params, *flat_batch([[1, 2], [3], [4, -1, 5], [99]]))
+    with pytest.raises(ValueError, match="sequence 1 has token ids outside"):
+        encode(params, ints(1, 1, dtype=np.uint64), ints(3, 2**63, dtype=np.uint64))
+    # any integer dtype in range encodes as intp does
+    want, _ = encode(params, *flat_batch([[1, 2], [15]]))
+    got, cache = encode(params, ints(2, 1, dtype=np.uint8), ints(1, 2, 15, dtype=np.int16))
+    assert got.tobytes() == want.tobytes() and cache.flat_ids.dtype == np.intp
 
 
 def _assert_encode_matches_loop(params, seqs, chunk_values=None):
     with pytest.MonkeyPatch.context() as mp:
         if chunk_values is not None:
             mp.setattr(encoder_mod, "_CHUNK_VALUES", chunk_values)
-        out, cache = encode(params, seqs)
+        out, cache = encode(params, *flat_batch(seqs))
     ref_out, ref_pooled, ref_projected = loop_encode(params, seqs)
     assert cache.pooled.tobytes() == ref_pooled.tobytes()
     assert cache.projected.tobytes() == ref_projected.tobytes()
@@ -219,7 +251,7 @@ def test_cache_reproduces_forward():
     rng = np.random.default_rng(5)
     params = _params(rng, hash_bits=5, dim=4)
     batch = [[1, 2], [3], [2, 2, 7]]
-    embs, cache = encode(params, batch)
+    embs, cache = encode(params, *flat_batch(batch))
     assert cache.token_ids == batch
     assert cache.flat_ids.tolist() == [1, 2, 3, 2, 2, 7]
     assert cache.lengths.tolist() == [2, 1, 3]
@@ -232,7 +264,7 @@ def test_cache_reproduces_forward():
 def test_backward_zero_upstream():
     rng = np.random.default_rng(6)
     params = _params(rng)
-    _, cache = encode(params, [[1, 2], [3]])
+    _, cache = encode(params, *flat_batch([[1, 2], [3]]))
     grads = encode_backward(params, cache, np.zeros((2, 6)))
     assert not grads.embedding_table.any()
     assert not grads.projection.any()
@@ -244,10 +276,10 @@ def test_backward_shared_token_additivity():
     rng = np.random.default_rng(7)
     params = _params(rng, hash_bits=4, dim=5)
     g = rng.normal(size=(2, 5))
-    _, cache = encode(params, [[9, 3], [9]])
+    _, cache = encode(params, *flat_batch([[9, 3], [9]]))
     both = encode_backward(params, cache, g)
-    _, ca = encode(params, [[9, 3]])
-    _, cb = encode(params, [[9]])
+    _, ca = encode(params, *flat_batch([[9, 3]]))
+    _, cb = encode(params, *flat_batch([[9]]))
     only_a = encode_backward(params, ca, g[:1])
     only_b = encode_backward(params, cb, g[1:])
     assert np.allclose(
@@ -282,7 +314,7 @@ def test_sparse_backward_matches_dense_oracle(monkeypatch, chunk_values):
     # zero, and its normalisation backward takes the masked path
     params.embedding_table[6] = -params.embedding_table[5]
     for seqs in (batch, batch + [[5, 6]]):
-        _, cache = encode(params, seqs)
+        _, cache = encode(params, *flat_batch(seqs))
         sparse = encode_backward(params, cache, g[: len(seqs)])
         dense = dense_encode_backward(params, seqs, cache, g[: len(seqs)])
         assert np.array_equal(sparse.rows, np.unique(np.concatenate(seqs)))
@@ -299,10 +331,10 @@ def test_end_to_end_gradient_matches_finite_differences():
     batch = [[1, 2], [3], [2, 4], [5]]  # anchors then positives; token 2 shared
 
     def forward() -> float:
-        embs, _ = encode(params, batch)
+        embs, _ = encode(params, *flat_batch(batch))
         return multi_positive_loss(embs[:2], embs[2:4, None, :], tau=0.2, normalization="identity").value
 
-    embs, cache = encode(params, batch)
+    embs, cache = encode(params, *flat_batch(batch))
     out = multi_positive_loss(embs[:2], embs[2:4, None, :], tau=0.2, normalization="identity")
     grad_rows = np.concatenate([out.grad_anchor, out.grad_positives[:, 0, :]])
     grads = encode_backward(params, cache, grad_rows)

@@ -320,9 +320,7 @@ def test_a_cache_warmed_at_another_hash_width_leaves_checkpoints_unchanged(tmp_p
     groups = _groups(10)
     cfg = _small_cfg(epochs=2, k_positives=2)
     warm = TokenCache()
-    for g in groups:
-        for text in g.texts.values():
-            warm(text, cfg.max_len, cfg.hash_bits + 1)
+    warm.lookup([text for g in groups for text in g.texts.values()], cfg.max_len, cfg.hash_bits + 1)
     train(cfg, groups, out_dir=str(tmp_path / "plain"))
     train(cfg, groups, out_dir=str(tmp_path / "warm"), tokens=warm)
     for name in ("epoch_0001.ckpt", "epoch_0002.ckpt", "final.ckpt"):
@@ -369,10 +367,11 @@ def _spy_prefix(monkeypatch) -> list[tuple[int, int, bool]]:
             batch[:] = [b]
             yield b
 
-    def spy_encode(params, seqs):
-        seen.update(i for ids in seqs for i in ids)
-        relabelled[:] = [seqs[: batch[0].size] != batch[0].anchors]
-        return encode(params, seqs)
+    def spy_encode(params, lengths, ids):
+        seen.update(ids.tolist())
+        anchor_ids = lengths[: batch[0].size].sum()
+        relabelled[:] = [ids[:anchor_ids].tolist() != batch[0].ids[:anchor_ids].tolist()]
+        return encode(params, lengths, ids)
 
     def spy_adam_step(params, state, grads, lr):
         out = adam_step(params, state, grads, lr)
@@ -402,9 +401,9 @@ def test_training_matches_dense_oracle(tmp_path, monkeypatch, objective):
     train_mod = sys.modules["multipos.train"]
     encode, encoded = train_mod.encode, []
 
-    def spy_encode(params, seqs):
-        encoded[:] = [seqs]
-        return encode(params, seqs)
+    def spy_encode(params, lengths, ids):
+        encoded[:] = [np.split(ids, np.cumsum(lengths)[:-1])]
+        return encode(params, lengths, ids)
 
     monkeypatch.setattr(train_mod, "encode", spy_encode)
     monkeypatch.setattr(
@@ -501,7 +500,7 @@ def test_first_touch_order_clip():
     # reference clip does on a table kept in hashed order
     rng = np.random.default_rng(9)
     order = _order(8, 4)
-    order.relabel([rng.integers(256, size=9).tolist() for _ in range(12)])
+    order.relabel(np.concatenate([rng.integers(256, size=9) for _ in range(12)]))
     stored = np.arange(order.opt.live)
     g = ParamGrads(stored, rng.normal(size=(len(stored), 4)), rng.normal(size=(4, 4)))
     hashed = np.argsort(order.ids[stored])
