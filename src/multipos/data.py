@@ -466,20 +466,36 @@ def read_groups_jsonl(path: str) -> list[SentenceGroup]:
             except (ValueError, RecursionError) as exc:  # a number too long, nesting too deep
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             try:
-                groups.append(
-                    SentenceGroup(
-                        id=str(obj["id"]),
-                        texts={str(k): str(v) for k, v in obj["texts"].items()},
-                        hard_negatives=(
-                            {str(k): str(v) for k, v in obj["hard_negatives"].items()}
-                            if obj.get("hard_negatives")
-                            else None
-                        ),
-                    )
+                group = SentenceGroup(
+                    id=str(obj["id"]),
+                    texts={str(k): str(v) for k, v in obj["texts"].items()},
+                    hard_negatives=(
+                        {str(k): str(v) for k, v in obj["hard_negatives"].items()}
+                        if obj.get("hard_negatives")
+                        else None
+                    ),
                 )
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad group record ({exc})") from exc
+            # only a \u escape spells a lone surrogate, which no UTF-8 file can hold;
+            # testing for any backslash costs a fraction of testing for "\u"
+            if "\\" in line:
+                _check_unicode(group, f"{path}:{lineno}")
+            groups.append(group)
     return groups
+
+
+def _check_unicode(group: SentenceGroup, where: str) -> None:
+    """Raise DataFormatError naming `where` if an id, language or text of group holds a lone surrogate."""
+    negatives = group.hard_negatives or {}
+    for field in (group.id, *group.texts, *group.texts.values(), *negatives, *negatives.values()):
+        try:
+            field.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = field[exc.start : exc.end]
+            raise DataFormatError(
+                f"{where}: bad group record (lone surrogate {surrogate!r} is not valid Unicode)"
+            ) from None
 
 
 def write_pairs_tsv(pairs: Sequence[PairRecord], path: str) -> None:

@@ -59,6 +59,8 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
+# _ASCII_WORD[c]: whether _TOKEN_RE takes code point c < 128 for a word character
+_ASCII_WORD = np.array([_TOKEN_RE.match(chr(c)) is not None for c in range(128)])
 
 CHECKPOINT_MAGIC = b"MPCL"
 CHECKPOINT_VERSION = 1
@@ -132,24 +134,51 @@ def tokenize_many(texts: Sequence[str], max_len: int = 64, hash_bits: int = 16) 
     """`tokenize` of every text at once: int64 id counts per text, and the ids end to end.
 
     Text i's ids are the counts[i] that follow the first sum(counts[:i])
-    and equal tokenize(texts[i], max_len, hash_bits). Every word goes
-    into one NUL-separated UTF-8 buffer (a \\w word holds no NUL byte),
-    and FNV-1a hashes all of them together, one byte position per pass
-    over a longest-first prefix of the words; uint64 products wrap mod
-    2**64 like the hash's mask. The passes stop where passes run plus
-    words left is least, as in _segment_sums, and each word left
-    finishes with fnv1a_64. The arguments are bounded as in `tokenize`.
+    and equal tokenize(texts[i], max_len, hash_bits). The texts are
+    lowercased one by one and joined with NUL, which is not \\w; the rest
+    are array ops over the joined text's code points. A code point is
+    \\w by _ASCII_WORD below 128, and each distinct one above through
+    _TOKEN_RE itself, so the per-point work past the table grows with the
+    non-ASCII code points only. One diff of the \\w mask gives every
+    word's start and end; each text keeps its first max_len words. A
+    word's code point offsets become UTF-8 byte offsets by adding the
+    extra bytes of the non-ASCII code points before them, and FNV-1a
+    hashes all words of the joined text's UTF-8 bytes together, one byte
+    position per pass over a longest-first prefix of the words; uint64
+    products wrap mod 2**64 like the hash's mask. The passes stop where
+    passes run plus words left is least, as in _segment_sums, and each
+    word left finishes with fnv1a_64. The arguments are bounded as in
+    `tokenize`.
     """
     _check_token_args(max_len, hash_bits)
-    per_text = [_TOKEN_RE.findall(text.lower())[:max_len] for text in texts]
-    n_words = np.fromiter(map(len, per_text), dtype=np.int64, count=len(per_text))
+    lowered = [text.lower() for text in texts]
+    joined = "\0".join(lowered)
+    # surrogatepass: a lone surrogate is one code point, and a separator
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), np.uint32)
+    is_word = _ASCII_WORD.take(points, mode="clip")  # every code point past 127 reads entry 127, not \w
+    wide = np.flatnonzero(points >= 128)
+    wide_points = points[wide]
+    distinct, which = np.unique(wide_points, return_inverse=True)
+    distinct_word = [_TOKEN_RE.match(chr(c)) is not None for c in distinct.tolist()]
+    is_word[wide] = np.array(distinct_word, dtype=bool)[which]
+    edges = np.flatnonzero(np.diff(is_word, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = np.fromiter(map(len, lowered), dtype=np.int64, count=len(lowered))
+    # first_word[t]: the first word at or past where text t starts in joined
+    first_word = np.searchsorted(starts, np.cumsum(lengths + 1) - (lengths + 1))
+    n_words = np.diff(first_word, append=len(starts))
+    keep = np.arange(len(starts)) < np.repeat(first_word + max_len, n_words)
+    starts, ends = starts[keep], ends[keep]
+    n_words = np.minimum(n_words, max_len)
     counts = np.maximum(n_words, 1)  # a text with no word is [0]
     ids = np.zeros(int(counts.sum()), dtype=np.int64)
     if not n_words.any():
         return counts, ids
-    buf = np.frombuffer(("\0".join(itertools.chain.from_iterable(per_text)) + "\0").encode("utf-8"), np.uint8)
-    ends = np.flatnonzero(buf == 0)
-    starts = np.append(0, ends[:-1] + 1)
+    # extra[k]: how many more UTF-8 bytes than code points wide[:k] take
+    extra = np.concatenate(([0], np.cumsum(1 + (wide_points >= 0x800) + (wide_points >= 0x10000))))
+    starts = starts + extra[np.searchsorted(wide, starts)]
+    ends = ends + extra[np.searchsorted(wide, ends)]
+    buf = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
     order, live = _longest_first(ends - starts)
     first, last = starts[order], ends[order]
     words = np.concatenate(([len(order)], live, [0]))  # words[j]: how many words have a byte j
@@ -229,7 +258,9 @@ def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     In that order the entries with a k-th item (0-based) are the first
     live[k - 1], so pass k works on a prefix.
     """
-    order = np.argsort(-counts, kind="stable")
+    # on the narrowest unsigned key: numpy's stable sort of 8- and 16-bit keys is a radix sort
+    top = counts.max()
+    order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
     ordered = counts[order]
     live = np.searchsorted(-ordered, -np.arange(1, ordered[0]), side="left")
     return order, live

@@ -170,6 +170,17 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert cli.run(["to-pairs", "--data", bad, "--out", str(tmp_path / "p.tsv")]).exit_code == 2
         assert f"data error: {bad}:2: invalid JSON" in capsys.readouterr().err
 
+    # a lone surrogate escape: no command reads the file, so to-pairs writes no
+    # output it cannot encode, and train does not train on it
+    bad = _write(tmp_path / "bad.jsonl", good + '{"id": "b", "texts": {"x": "1\\ud800", "y": "2"}}\n')
+    out_path = tmp_path / "surrogate.tsv"
+    assert cli.run(["to-pairs", "--data", bad, "--out", str(out_path)]).exit_code == 2
+    assert f"data error: {bad}:2: bad group record (lone surrogate" in capsys.readouterr().err
+    assert not out_path.exists()
+    cfg = _tiny_train_config(tmp_path)
+    assert cli.run(["train", "--config", cfg, "--data", bad, "--out", str(tmp_path / "run")]).exit_code == 2
+    assert f"data error: {bad}:2: bad group record (lone surrogate" in capsys.readouterr().err
+
     # a tab, or a carriage return that read_tsv would take for a line end, in the
     # second group's pair: no pair reaches --out, and an older file keeps its bytes
     older = "en\tde\tan older\tfile\n"

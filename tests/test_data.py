@@ -512,6 +512,26 @@ def test_groups_jsonl_errors(tmp_path):
     assert len(read_groups_jsonl(str(path))) == 1  # blank lines skipped
 
 
+def test_read_groups_jsonl_rejects_lone_surrogates(tmp_path):
+    # an escaped surrogate pair is one code point; one escape alone is a lone
+    # surrogate, which no UTF-8 output can hold
+    ok = '{"id": "g\\u00e9", "texts": {"a": "\\ud83d\\ude00", "b": "y"}}'
+    path = tmp_path / "groups.jsonl"
+    path.write_text(ok + "\n", encoding="utf-8")
+    assert read_groups_jsonl(str(path)) == [SentenceGroup("g\u00e9", {"a": "\U0001f600", "b": "y"})]
+    for record in (
+        f'{{"id": "x\\ud800", {TWO}}}',
+        '{"id": "g", "texts": {"a": "x\\ud800y", "b": "y"}}',
+        '{"id": "g", "texts": {"a\\ud800": "x", "b": "y"}}',
+        f'{{"id": "g", {TWO}, "hard_negatives": {{"a": "\\ud800"}}}}',
+        f'{{"id": "g", {TWO}, "hard_negatives": {{"\\ud800": "z"}}}}',
+    ):
+        path.write_text(f"{ok}\n{record}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            read_groups_jsonl(str(path))
+        assert str(err.value) == f"{path}:2: bad group record (lone surrogate '\\ud800' is not valid Unicode)"
+
+
 def _bad_record(operation) -> str:
     """The reader's message for a record on which Python's `operation` fails."""
     try:

@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multipos import encoder as encoder_mod
@@ -76,18 +76,23 @@ def test_tokenize_id_range():
 
 # characters where lowercasing, \w or UTF-8 width is easy to get wrong: NUL,
 # a combining mark, dotted capital I (lowercases to two code points),
-# non-BMP letters, capital sigma, sharp s, punctuation and whitespace
-_TRICKY = st.sampled_from("\x00\u0301\u0130\U0001d518\U00020000\u03a3\u00dfa. ")
+# non-BMP letters, capital sigma, sharp s, punctuation, whitespace and lone
+# surrogates (st.characters() draws none)
+_TRICKY = st.sampled_from("\x00\u0301\u0130\U0001d518\U00020000\u03a3\u00dfa. \ud800\udfff")
+_TEXTS = st.lists(st.text(st.one_of(st.characters(), _TRICKY)), max_size=12)
 
 
 @given(
-    texts=st.lists(st.text(st.one_of(st.characters(), _TRICKY)), max_size=12),
+    texts=_TEXTS,
     max_len=st.integers(1, 70),
     hash_bits=st.integers(1, MAX_HASH_BITS),
 )
 @example(texts=[], max_len=64, hash_bits=16)
 @example(texts=["", "?!", "\x00", "A\u0130 \U0001d518\x00x e\u0301"], max_len=2, hash_bits=1)
 @example(texts=["a" * 3000 + " b", "c", "dd " * 80], max_len=70, hash_bits=MAX_HASH_BITS)  # one word past the passes
+# lone surrogates: any str may reach the tokenizers, and a surrogate separates words
+@example(texts=["a\ud800b", "\udfff", "\U0001d518\udc00\U0001d518x", "\ud835\udd18"], max_len=64, hash_bits=16)
+@settings(max_examples=500, deadline=None)
 def test_tokenize_many_equals_tokenize(texts, max_len, hash_bits):
     counts, ids = tokenize_many(texts, max_len, hash_bits)
     assert counts.dtype == ids.dtype == np.int64
@@ -96,6 +101,22 @@ def test_tokenize_many_equals_tokenize(texts, max_len, hash_bits):
     assert [ids[e - n : e].tolist() for e, n in zip(ends, counts.tolist())] == [
         tokenize(t, max_len, hash_bits) for t in texts
     ]
+
+
+@given(
+    a=_TEXTS,
+    b=_TEXTS,
+    max_len=st.integers(1, 70),
+    hash_bits=st.integers(1, MAX_HASH_BITS),
+)
+@example(a=["\u0130x", "y \U0001d518"], b=["\ud800z", ""], max_len=1, hash_bits=16)
+def test_tokenize_many_splits_into_blocks(a, b, max_len, hash_bits):
+    # TokenCache.fill tokenizes _FILL_BLOCK texts at a time: where the blocks split cannot move an id
+    counts, ids = tokenize_many(a + b, max_len, hash_bits)
+    counts_a, ids_a = tokenize_many(a, max_len, hash_bits)
+    counts_b, ids_b = tokenize_many(b, max_len, hash_bits)
+    assert counts.tolist() == counts_a.tolist() + counts_b.tolist()
+    assert ids.tolist() == ids_a.tolist() + ids_b.tolist()
 
 
 def test_tokenize_many_validation():
