@@ -250,12 +250,18 @@ def pairs_to_groups(pairs: Sequence[PairRecord]) -> list[SentenceGroup]:
     ]
 
 
+# the most languages a group can have: make_batches replays the draws of
+# `rng.choice(L - 1, size=K, replace=False)`, which numpy makes by Floyd's
+# algorithm only while its population L - 1 is at most 10,000
+MAX_GROUP_LANGUAGES = 10_001
+
+
 def check_fit(groups: Sequence[SentenceGroup], k_positives: int, use_hard_negatives: bool) -> None:
     """Raise DatasetMismatchError unless every group can be batched.
 
     There must be at least one group. A group needs an anchor plus
-    k_positives other languages, and hard negatives when
-    use_hard_negatives is set.
+    k_positives other languages, at most MAX_GROUP_LANGUAGES languages
+    in all, and hard negatives when use_hard_negatives is set.
     """
     if len(groups) == 0:
         raise DatasetMismatchError("empty dataset: no groups to batch")
@@ -264,6 +270,10 @@ def check_fit(groups: Sequence[SentenceGroup], k_positives: int, use_hard_negati
             raise DatasetMismatchError(
                 f"group {g.id!r} has {len(g.texts)} languages, need {k_positives + 1} "
                 f"(k_positives={k_positives} plus the anchor)"
+            )
+        if len(g.texts) > MAX_GROUP_LANGUAGES:
+            raise DatasetMismatchError(
+                f"group {g.id!r} has {len(g.texts)} languages, at most {MAX_GROUP_LANGUAGES} can be batched"
             )
         if use_hard_negatives and not g.hard_negatives:
             raise DatasetMismatchError(f"group {g.id!r} lacks hard negatives")
@@ -296,6 +306,17 @@ def make_batches(
     Groups that fail check_fit raise DatasetMismatchError. Each batch
     reads its texts in one `lookup` of `tokens`, a fresh TokenCache
     when none is given.
+
+    The draws are those of three calls per group, in group order:
+    `rng.integers(L)` for the anchor among the group's L languages,
+    `rng.choice(L - 1, size=K, replace=False)` for the positives among
+    the rest, and `rng.integers(H)` for one of its H hard negatives.
+    Each of those is a run of bounded draws whose bounds depend only on
+    L, K and H: the anchor's, Floyd's picks, then the swaps of the
+    shuffle `choice` ends with. So a batch makes all of its groups'
+    draws in one `rng.integers` over a matrix of those bounds, row by
+    row, and replays Floyd's algorithm and the shuffle on the result:
+    the generator's stream and state are the per-group calls' exactly.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be at least 2, got {batch_size}")
@@ -307,27 +328,44 @@ def make_batches(
     order = rng.permutation(len(groups))
     if tokens is None:
         tokens = TokenCache()
+    k = k_positives
+    # columns of a batch's draws: the anchor, Floyd's picks, the shuffle's swaps, the hard negative
+    floyd, swaps = 1 + np.arange(k), 1 + k + np.arange(k - 1)
 
     def flush(chunk: list[int]) -> TrainingBatch:
-        anchors, positives, a_langs, hns = [], [], [], []
-        for gi in chunk:
-            g = groups[gi]
-            langs = sorted(g.texts)
-            anchor = langs[int(rng.integers(len(langs)))]
-            rest = [l for l in langs if l != anchor]
-            picked = [rest[i] for i in rng.choice(len(rest), size=k_positives, replace=False)]
-            anchors.append(g.texts[anchor])
-            a_langs.append(anchor)
-            positives.extend(g.texts[l] for l in picked)
-            if use_hard_negatives:
-                hn_options = sorted(g.hard_negatives)
-                hn = hn_options[int(rng.integers(len(hn_options)))]
-                hns.append(g.hard_negatives[hn])
-        lengths, ids = tokens.lookup(anchors + positives + hns, max_len, hash_bits)
-        return TrainingBatch(lengths, ids, k_positives, a_langs, use_hard_negatives)
+        texts = [sorted(groups[gi].texts.items()) for gi in chunk]
+        n_langs = np.array([len(t) for t in texts])
+        # inclusive bounds, in the per-group calls' order; a zero bound takes no draw
+        bounds = np.empty((len(chunk), 2 * k + use_hard_negatives), dtype=np.int64)
+        bounds[:, 0] = n_langs - 1
+        bounds[:, floyd] = (n_langs - 1 - k)[:, None] + np.arange(k)
+        bounds[:, swaps] = np.arange(k - 1, 0, -1)
+        if use_hard_negatives:
+            negatives = [sorted(groups[gi].hard_negatives.items()) for gi in chunk]
+            bounds[:, -1] = [len(h) - 1 for h in negatives]
+        draws = rng.integers(0, bounds, endpoint=True)
+        # Floyd: pick t takes its draw, or its bound when the row holds that draw already
+        picks = draws[:, floyd]
+        for t in range(1, k):
+            taken = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+            picks[taken, t] = bounds[taken, 1 + t]
+        rows = np.arange(len(chunk))
+        for i, j in zip(range(k - 1, 0, -1), draws[:, swaps].T):
+            picks[rows, i], picks[rows, j] = picks[rows, j], picks[rows, i]
+        anchors = draws[:, 0]
+        picks += picks >= anchors[:, None]  # from an index into the other languages to one into all
+        a_langs, seqs = [], []
+        for t, a in zip(texts, anchors.tolist()):
+            a_langs.append(t[a][0])
+            seqs.append(t[a][1])
+        seqs += [t[p][1] for t, row in zip(texts, picks.tolist()) for p in row]
+        if use_hard_negatives:
+            seqs += [h[i][1] for h, i in zip(negatives, draws[:, -1].tolist())]
+        lengths, ids = tokens.lookup(seqs, max_len, hash_bits)
+        return TrainingBatch(lengths, ids, k, a_langs, use_hard_negatives)
 
     for start in range(0, len(order), batch_size):
-        chunk = [int(i) for i in order[start : start + batch_size]]
+        chunk = order[start : start + batch_size].tolist()
         if len(chunk) < 2:
             break
         yield flush(chunk)
@@ -443,6 +481,9 @@ def read_aligned_corpus(lang_paths: dict[str, str]) -> list[tuple[str, str, str]
 
 
 def write_groups_jsonl(groups: Sequence[SentenceGroup], path: str) -> None:
+    # every field is checked before the file opens: a refused write leaves path as it was
+    for lineno, g in enumerate(groups, start=1):
+        _check_unicode(_group_fields(g), f"{path}:{lineno}", "group")
     # json.dumps(obj, ensure_ascii=False) builds an encoder per call; build one
     encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
@@ -480,22 +521,27 @@ def read_groups_jsonl(path: str) -> list[SentenceGroup]:
             # only a \u escape spells a lone surrogate, which no UTF-8 file can hold;
             # testing for any backslash costs a fraction of testing for "\u"
             if "\\" in line:
-                _check_unicode(group, f"{path}:{lineno}")
+                _check_unicode(_group_fields(group), f"{path}:{lineno}", "group")
             groups.append(group)
     return groups
 
 
-def _check_unicode(group: SentenceGroup, where: str) -> None:
-    """Raise DataFormatError naming `where` if an id, language or text of group holds a lone surrogate."""
+def _group_fields(group: SentenceGroup) -> tuple[str, ...]:
+    """The id, languages and texts of group, hard negatives included."""
     negatives = group.hard_negatives or {}
-    for field in (group.id, *group.texts, *group.texts.values(), *negatives, *negatives.values()):
-        try:
-            field.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            surrogate = field[exc.start : exc.end]
-            raise DataFormatError(
-                f"{where}: bad group record (lone surrogate {surrogate!r} is not valid Unicode)"
-            ) from None
+    return (group.id, *group.texts, *group.texts.values(), *negatives, *negatives.values())
+
+
+def _check_unicode(fields: Iterable[str], where: str, record: str) -> None:
+    """Raise DataFormatError naming `where` and the `record` kind if one of fields holds a lone surrogate."""
+    # one encode of the fields joined costs less than one per field
+    joined = "".join(fields)
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataFormatError(
+            f"{where}: bad {record} record (lone surrogate {joined[exc.start]!r} is not valid Unicode)"
+        ) from None
 
 
 def write_pairs_tsv(pairs: Sequence[PairRecord], path: str) -> None:
@@ -504,6 +550,8 @@ def write_pairs_tsv(pairs: Sequence[PairRecord], path: str) -> None:
     # read_tsv reads lines with universal newlines, so "\r" ends a line too
     if any("\t" in f or "\n" in f or "\r" in f for row in rows for f in row):
         raise DataFormatError("pair fields must not contain tabs or newlines (\\n or \\r)")
+    for lineno, row in enumerate(rows, start=1):
+        _check_unicode(row, f"{path}:{lineno}", "pair")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines("\t".join(row) + "\n" for row in rows)
 

@@ -364,8 +364,10 @@ def encode_backward(params: ModelParams, cache: EncodeCache, grad_output: np.nda
     grad_proj = cache.pooled.T @ grad_v
     grad_pooled /= cache.lengths[:, None]  # each token's share of its sequence's gradient
 
-    # tokens grouped by row, in batch order within a row
-    by_row = np.argsort(cache.flat_ids, kind="stable")
+    # tokens grouped by row, in batch order within a row; on the narrowest
+    # unsigned key, as in _longest_first, and a stable order is unique
+    rows = len(params.embedding_table)
+    by_row = np.argsort(cache.flat_ids.astype(np.min_scalar_type(rows - 1)), kind="stable")
     ids = cache.flat_ids[by_row]
     row_starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     counts = np.diff(row_starts, append=len(ids))

@@ -510,3 +510,32 @@ def cipher_corpus_oracle(
             held = {lang: " ".join(heldout_surface(lang, int(c)) for c in seq) for lang in heldout_langs}
             eval_groups.append(SentenceGroup(id=gid, texts={**texts, **held}))
     return train_groups, eval_groups
+
+
+def reference_batches(groups, batch_size: int, k: int, rng_seed, use_hard_negatives: bool = False):
+    """make_batches' draws made group by group, as numpy's own calls make them.
+
+    Yields each batch's anchor languages and its texts in encode order.
+    Per group, in the shuffled order: `integers` for the anchor, `choice`
+    without replacement for the K positives among the other languages,
+    and `integers` for the hard negative.
+    """
+    rng = np.random.default_rng(rng_seed)
+    order = rng.permutation(len(groups))
+    for start in range(0, len(order), batch_size):
+        chunk = order[start : start + batch_size]
+        if len(chunk) < 2:
+            break
+        a_langs, anchors, positives, hard = [], [], [], []
+        for gi in chunk:
+            g = groups[gi]
+            langs = sorted(g.texts)
+            anchor = langs[int(rng.integers(len(langs)))]
+            rest = [lang for lang in langs if lang != anchor]
+            positives += [g.texts[rest[i]] for i in rng.choice(len(rest), size=k, replace=False)]
+            if use_hard_negatives:
+                hn_langs = sorted(g.hard_negatives)
+                hard.append(g.hard_negatives[hn_langs[int(rng.integers(len(hn_langs)))]])
+            a_langs.append(anchor)
+            anchors.append(g.texts[anchor])
+        yield a_langs, anchors + positives + hard

@@ -1,10 +1,11 @@
 """The byte gate: artifacts of the compare recipe keep their exact bytes.
 
-They are the synth corpus and the off-recipe data file, compare
+They are the synth corpus and the off-recipe data files, compare
 reports, train checkpoints, and eval reports scored from the 2-epoch
 multi run. Two more train checkpoints come from an off-recipe config
 (OFF_RECIPE) that runs the paths the recipe never does: tau below 1,
-hard negatives, gradient clipping and warm-up.
+hard negatives, gradient clipping and warm-up. One more (MIXED) trains
+on groups that differ in their language and hard-negative counts.
 
 A change that alters these bytes on purpose records the new digests in
 DIGESTS and says so. The checkpoints and reports pass through BLAS
@@ -46,6 +47,9 @@ DIGESTS = {
     "train off-recipe min_max, final.ckpt": "c805aec0086690f95ba4b514fca33639943a8fe3de84cfec3a361273b65ba808",
     "train off-recipe identity, final.ckpt": "86c7bed1f4fe74d7fc7ccb25b8ebf252a88a16cb4a13f1bfe19913f64972b6b2",
     "train off-recipe min_max, epoch_0001.ckpt": "3a21eb611d1283615ac384c7d66d4e8e6896bdf3b38cd84786a71858174f2ffe",
+    # MIXED on groups of 3 to 6 languages with 1 to 3 hard negatives; see _mixed_languages
+    "mixed data mixed.jsonl": "7fcc61b5b1f01dc58c1abed1dca6c197fa01ec927ed4984b009b8470796af528",
+    "train mixed, final.ckpt": "e23fc25318b849776ce0ba57c14cc57d3213fe6e95394685715cc041cbb044f5",
     # eval reports on the multi run; see _eval_reports
     "eval retrieval --checkpoint-dir --both-directions": "07aeae356257f334e7217bcd50854cbf6279eac5e8f166268e99157ec56fc3ea",
     "eval mine": "982be658207da6e742b31d72c87a69828314d62d3697ea90d5b3acda9dbb5ca4",
@@ -69,6 +73,11 @@ OFF_RECIPE = dict(
     batch_size=32, k_positives=5, lr_main=6e-3, hash_bits=15, epochs=2, tau=0.05, use_hard_negatives=True,
     max_grad_norm=0.05, warmup_steps=5, lr_warmup=1e-3,
 )
+
+# a train config for groups that differ in their language and hard-negative
+# counts: a batch draws anchors, positives and hard negatives from groups of
+# unlike sizes, and K = 2 leaves most groups more languages than it picks
+MIXED = dict(RECIPE, k_positives=2, use_hard_negatives=True)
 
 
 def _this_build() -> str:
@@ -108,6 +117,12 @@ def artifacts(tmp_path_factory):
         assert cli.run(argv).exit_code == 0, normalization
         for ckpt in ("epoch_0001.ckpt", "final.ckpt"):
             paths[f"train off-recipe {normalization}, {ckpt}"] = d / f"off_{normalization}" / ckpt
+    paths["mixed data mixed.jsonl"] = _mixed_languages(corpus / "groups.jsonl", d / "mixed.jsonl")
+    cfg = d / "mixed.json"
+    cfg.write_text(json.dumps(MIXED), encoding="utf-8")
+    argv = ["train", "--config", str(cfg), "--data", str(paths["mixed data mixed.jsonl"]), "--out", str(d / "mixed")]
+    assert cli.run(argv).exit_code == 0, "mixed"
+    paths["train mixed, final.ckpt"] = d / "mixed" / "final.ckpt"
     with pytest.MonkeyPatch.context() as mp:
         # relative paths: each report names its checkpoint the same way on every run
         mp.chdir(d)
@@ -128,6 +143,29 @@ def _with_hard_negatives(src, dst):
         for g, nxt in zip(groups, groups[1:] + groups[:1])
         for lang in sorted(g.texts)
     ])
+    write_groups_jsonl(groups, str(dst))
+    return dst
+
+
+def _mixed_languages(src, dst):
+    """`src`'s groups cut to 3 to 6 languages, with 1 to 3 hard negatives, written to `dst`.
+
+    Group i keeps 3 + i % 4 of its 6 languages, a window that starts at
+    language i % 6 and wraps. Its hard negatives are built as
+    _with_hard_negatives builds them, for the first 1 + i % 3 languages
+    it keeps.
+    """
+    groups = read_groups_jsonl(str(src))
+    kept = []
+    for i, (g, nxt) in enumerate(zip(groups, groups[1:] + groups[:1])):
+        langs = sorted(g.texts)
+        kept.append([langs[(i + j) % len(langs)] for j in range(3 + i % 4)])
+        g.hard_negatives = {
+            lang: " ".join(g.texts[lang].split()[:4] + nxt.texts[lang].split()[4:])
+            for lang in sorted(kept[i][: 1 + i % 3])
+        }
+    for g, langs in zip(groups, kept):
+        g.texts = {lang: g.texts[lang] for lang in sorted(langs)}
     write_groups_jsonl(groups, str(dst))
     return dst
 

@@ -3,18 +3,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import cipher_corpus_oracle, flat_batch
+from helpers import cipher_corpus_oracle, flat_batch, reference_batches
 from multipos import data as data_mod
 from multipos.data import (
+    MAX_GROUP_LANGUAGES,
     DataFormatError,
+    DatasetMismatchError,
     PairRecord,
     SentenceGroup,
     TokenCache,
     assemble_groups,
     attach_hard_negatives,
+    check_fit,
     gen_cipher_corpus,
     groups_to_pairs,
     make_batches,
@@ -307,23 +310,10 @@ def test_make_batches_lays_out_the_drawn_texts_in_encode_order():
     batches = list(make_batches(
         groups, 4, k, [5, 1], max_len=max_len, hash_bits=hash_bits, use_hard_negatives=True
     ))
-    # the reference draws group by group, in the order make_batches makes them
-    rng = np.random.default_rng([5, 1])
-    order = rng.permutation(len(groups))
     assert [b.size for b in batches] == [4, 4, 3]
-    for b, start in zip(batches, (0, 4, 8)):
-        anchors, positives, hard, a_langs = [], [], [], []
-        for gi in order[start : start + 4]:
-            g = groups[gi]
-            ls = sorted(g.texts)
-            anchor = ls[int(rng.integers(len(ls)))]
-            rest = [l for l in ls if l != anchor]
-            positives += [g.texts[rest[i]] for i in rng.choice(len(rest), size=k, replace=False)]
-            hn_langs = sorted(g.hard_negatives)
-            hard.append(g.hard_negatives[hn_langs[int(rng.integers(len(hn_langs)))]])
-            anchors.append(g.texts[anchor])
-            a_langs.append(anchor)
-        want = [tokenize(t, max_len, hash_bits) for t in anchors + positives + hard]
+    reference = reference_batches(groups, 4, k, [5, 1], use_hard_negatives=True)
+    for b, (a_langs, texts) in zip(batches, reference, strict=True):
+        want = [tokenize(t, max_len, hash_bits) for t in texts]
         lengths, ids = flat_batch(want)
         assert b.lengths.tolist() == lengths.tolist() and b.ids.tolist() == ids.tolist()
         assert b.anchor_langs == a_langs and b.k == k and b.has_hard_negatives
@@ -337,6 +327,104 @@ def test_make_batches_lays_out_the_drawn_texts_in_encode_order():
     assert len(b.lengths) == 4 * (1 + k) and not b.has_hard_negatives and b.hard_negatives is None
     seqs = [a.tolist() for a in np.split(b.ids, np.cumsum(b.lengths)[:-1])]
     assert b.anchors + [p for row in b.positives for p in row] == seqs
+
+
+class _RecordingCache(TokenCache):
+    """A TokenCache that keeps the texts of each lookup, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.looked_up = []
+
+    def lookup(self, texts, *args, **kwargs):
+        self.looked_up.append(list(texts))
+        return super().lookup(texts, *args, **kwargs)
+
+
+_LANG_POOL = [f"x{i}" for i in range(9)]
+
+
+@st.composite
+def _epochs(draw):
+    """(groups, batch size, K, seed, use_hard_negatives) for one epoch of make_batches.
+
+    Each group has from K + 1 to K + 3 languages, so K = L - 1 and
+    K < L - 1 mix within a batch, and 1 to 3 hard negatives. Languages
+    come in any order; make_batches draws over them sorted.
+    """
+    k = draw(st.integers(1, 5))
+    groups = []
+    for i in range(draw(st.integers(2, 24))):
+        langs = draw(st.lists(st.sampled_from(_LANG_POOL), min_size=k + 1, max_size=k + 3, unique=True))
+        hard = draw(st.lists(st.sampled_from(_LANG_POOL), min_size=1, max_size=3, unique=True))
+        groups.append(SentenceGroup(
+            f"g{i}", {lang: f"{lang} t{i}" for lang in langs}, {lang: f"{lang} h{i}" for lang in hard}
+        ))
+    return groups, draw(st.integers(2, 8)), k, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+def _mixed_groups(n: int) -> list[SentenceGroup]:
+    """Group i has 3 + i % 3 languages and 1 + i % 3 hard negatives."""
+    return [
+        SentenceGroup(
+            f"g{i}",
+            {lang: f"{lang} t{i}" for lang in _LANG_POOL[: 3 + i % 3]},
+            {lang: f"{lang} h{i}" for lang in _LANG_POOL[: 1 + i % 3]},
+        )
+        for i in range(n)
+    ]
+
+
+@given(_epochs())
+# K = 2 on 3 to 5 languages, hard negatives, and a tail batch of 2 after two of 4
+@example((_mixed_groups(10), 4, 2, 29, True))
+def test_make_batches_replays_the_per_group_draws(case):
+    groups, batch_size, k, seed, hard = case
+    cache = _RecordingCache()
+    batches = list(make_batches(groups, batch_size, k, seed, use_hard_negatives=hard, tokens=cache))
+    want = list(reference_batches(groups, batch_size, k, seed, hard))
+    assert [b.anchor_langs for b in batches] == [a_langs for a_langs, _ in want]
+    assert cache.looked_up == [texts for _, texts in want]
+
+
+def test_make_batches_draws_each_batch_in_one_call(monkeypatch):
+    """An epoch calls its generator once to shuffle and once per batch."""
+    calls = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return call
+
+    monkeypatch.setattr(data_mod.np.random, "default_rng", lambda seed: Counting(real(seed)))
+    for k, hard in ((1, False), (2, True)):
+        calls.clear()
+        assert len(list(make_batches(_mixed_groups(11), 4, k, 3, use_hard_negatives=hard))) == 3
+        assert calls == ["permutation"] + ["integers"] * 3
+
+
+def test_check_fit_refuses_groups_whose_draws_make_batches_cannot_replay():
+    # at MAX_GROUP_LANGUAGES, choice's population is 10,000 and it runs
+    # Floyd's algorithm even for K = 250; one language more and, with K
+    # above a fiftieth of the population, it shuffles a tail instead
+    texts = {f"l{j:05d}": f"t{j}" for j in range(MAX_GROUP_LANGUAGES)}
+    groups = [SentenceGroup("g0", texts), SentenceGroup("g1", dict(texts))]
+    cache = _RecordingCache()
+    (batch,) = make_batches(groups, 2, 250, 4, tokens=cache)
+    ((a_langs, want),) = reference_batches(groups, 2, 250, 4)
+    assert batch.anchor_langs == a_langs and cache.looked_up == [want]
+    groups[1].texts["zz"] = "one too many"
+    with pytest.raises(DatasetMismatchError, match=f"'g1' has {MAX_GROUP_LANGUAGES + 1} languages"):
+        check_fit(groups, 1, False)
 
 
 def test_make_batches_validation_names_group():
@@ -603,6 +691,29 @@ def test_pairs_tsv_round_trip_and_errors(tmp_path):
     bad.write_text("en\ten\tsame\tlang\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=":1:"):
         _read_pairs(str(bad))
+
+
+def test_writers_refuse_lone_surrogates_and_keep_the_old_file(tmp_path):
+    ok = SentenceGroup("g0", {"a": "x", "b": "y"}, {"a": "z"})
+    bad_groups = [
+        SentenceGroup("g\ud800", {"a": "x", "b": "y"}),
+        SentenceGroup("g", {"a\ud800": "x", "b": "y"}),
+        SentenceGroup("g", {"a": "x\ud800y", "b": "y"}),
+        SentenceGroup("g", {"a": "x", "b": "y"}, {"\ud800": "z"}),
+        SentenceGroup("g", {"a": "x", "b": "y"}, {"a": "\ud800"}),
+    ]
+    ok_pair = PairRecord("a", "b", "x", "y")
+    bad_pairs = [PairRecord("a\ud800", "b", "x", "y"), PairRecord("a", "b", "x", "y\ud800z")]
+    before = b"an older file\n"
+    cases = [(write_groups_jsonl, "group", [ok, bad]) for bad in bad_groups]
+    cases += [(write_pairs_tsv, "pair", [ok_pair, bad]) for bad in bad_pairs]
+    for write, record, records in cases:
+        path = tmp_path / f"out.{record}"
+        path.write_bytes(before)
+        with pytest.raises(DataFormatError) as err:
+            write(records, str(path))
+        assert str(err.value) == f"{path}:2: bad {record} record (lone surrogate '\\ud800' is not valid Unicode)"
+        assert path.read_bytes() == before
 
 
 def test_read_aligned_corpus(tmp_path):

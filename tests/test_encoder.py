@@ -345,6 +345,35 @@ def test_sparse_backward_matches_dense_oracle(monkeypatch, chunk_values):
     assert cache.raw_norms[-1] == 0.0 and (cache.raw_norms[:-1] > 0.0).all()
 
 
+@pytest.mark.parametrize("hash_bits, key", [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
+def test_sparse_backward_matches_dense_oracle_at_each_key_width(monkeypatch, hash_bits, key):
+    # the backward groups tokens by row on the narrowest unsigned key that
+    # holds every row: each width's first table, and the one before it
+    rng = np.random.default_rng(hash_bits)
+    params = _params(rng, hash_bits=hash_bits, dim=3)
+    top = (1 << hash_bits) - 1
+    # rows 0 and top, each in several sequences, among random rows
+    batch = [[0, top], [top, 5, top], [0]] + [
+        [int(x) for x in rng.integers(0, top + 1, size=int(rng.integers(1, 9)))] for _ in range(40)
+    ]
+    g = rng.normal(size=(len(batch), 3))
+    _, cache = encode(params, *flat_batch(batch))
+    keys, real = [], np.argsort
+
+    def argsort(a, *args, **kwargs):
+        keys.append(a.dtype)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(encoder_mod.np, "argsort", argsort)
+    sparse = encode_backward(params, cache, g)
+    monkeypatch.undo()
+    assert keys[0] == key
+    dense = dense_encode_backward(params, batch, cache, g)
+    assert sparse.rows[0] == 0 and sparse.rows[-1] == top
+    assert densify(sparse, top + 1).tobytes() == dense.embedding_table.tobytes()
+    assert sparse.projection.tobytes() == dense.projection.tobytes()
+
+
 def test_end_to_end_gradient_matches_finite_differences():
     # two groups through the full pipeline: encode -> loss -> scalar
     rng = np.random.default_rng(8)
