@@ -39,7 +39,7 @@ from .data import (
     write_groups_jsonl,
     write_pairs_tsv,
 )
-from .encoder import CheckpointError, load_checkpoint
+from .encoder import DEFAULT_MAX_LEN, CheckpointError, load_checkpoint
 from .evaluation import (
     ConstantSimilarityError,
     EvalReport,
@@ -491,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", required=True, choices=("retrieval", "mine", "sts", "classify"))
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
     p.add_argument("--src", default=None)
     p.add_argument("--tgt", default=None)
     p.add_argument("--both-directions", action="store_true")

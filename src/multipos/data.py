@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import _id_lists, tokenize, tokenize_many
+from .encoder import DEFAULT_HASH_BITS, DEFAULT_MAX_LEN, _id_lists, tokenize, tokenize_many
 
 
 class DataFormatError(ValueError):
@@ -61,7 +61,9 @@ class TokenCache:
             store = self._stores[max_len, hash_bits] = ({}, array("i"))
         return store
 
-    def fill(self, texts: Iterable[str], max_len: int = 64, hash_bits: int = 16) -> None:
+    def fill(
+        self, texts: Iterable[str], max_len: int = DEFAULT_MAX_LEN, hash_bits: int = DEFAULT_HASH_BITS
+    ) -> None:
         """Store each of `texts` the cache lacks, tokenized by `tokenize_many` _FILL_BLOCK texts at a time."""
         where, packed = self._store(max_len, hash_bits)
         texts = iter(texts)
@@ -74,7 +76,7 @@ class TokenCache:
                 packed.frombytes(np.insert(ids, starts, counts).astype(np.intc).tobytes())
 
     def lookup(
-        self, texts: Sequence[str], max_len: int = 64, hash_bits: int = 16
+        self, texts: Sequence[str], max_len: int = DEFAULT_MAX_LEN, hash_bits: int = DEFAULT_HASH_BITS
     ) -> tuple[np.ndarray, np.ndarray]:
         """`tokenize_many(texts, max_len, hash_bits)` read from the cache: int64 id counts and ids.
 
@@ -104,11 +106,13 @@ class TokenCache:
 class SentenceGroup:
     id: str
     texts: dict[str, str]
-    hard_negatives: dict[str, str] | None = None
+    hard_negatives: dict[str, str] | None = None  # None when the group has none, never {}
 
     def __post_init__(self) -> None:
         if len(self.texts) < 2:
             raise ValueError(f"group {self.id!r} needs at least 2 languages, got {len(self.texts)}")
+        if not self.hard_negatives:
+            self.hard_negatives = None
 
 
 @dataclass
@@ -173,9 +177,13 @@ class PairConversion:
     dropped_sentences: int = 0
 
 
-def _premise_part(sentence: str) -> str:
-    # Premise/hypothesis sources arrive tab-joined; keep the premise role.
-    return sentence.split("\t", 1)[0]
+def _by_key(records: Iterable[tuple[str, str, str]], what: str) -> dict[str, dict[str, str]]:
+    """Each key's {lang: sentence}, keys in first-appearance order; a conflicting (key, lang) record raises."""
+    by_key: dict[str, dict[str, str]] = {}
+    for lang, key, sentence in records:
+        if by_key.setdefault(key, {}).setdefault(lang, sentence) != sentence:
+            raise DataFormatError(f"conflicting {what} for key {key!r}, language {lang!r}")
+    return by_key
 
 
 def assemble_groups(records: Iterable[tuple[str, str, str]], languages: Sequence[str]) -> AssembleResult:
@@ -188,33 +196,20 @@ def assemble_groups(records: Iterable[tuple[str, str, str]], languages: Sequence
     wanted = list(dict.fromkeys(languages))
     if len(wanted) < 2:
         raise ValueError(f"need at least 2 requested languages, got {wanted}")
-    by_key: dict[str, dict[str, str]] = {}
-    for lang, key, sentence in records:
-        if lang not in wanted:
-            continue
-        text = _premise_part(sentence)
-        slot = by_key.setdefault(key, {})
-        if lang in slot and slot[lang] != text:
-            raise DataFormatError(f"conflicting sentences for key {key!r}, language {lang!r}")
-        slot[lang] = text
-    groups = []
-    dropped = []
-    for key, texts in by_key.items():
-        if all(lang in texts for lang in wanted):
-            groups.append(SentenceGroup(id=key, texts={lang: texts[lang] for lang in wanted}))
-        else:
-            dropped.append(key)
-    return AssembleResult(groups, dropped)
+    # premise/hypothesis sources arrive tab-joined; keep the premise role
+    premises = ((lang, key, sentence.split("\t", 1)[0]) for lang, key, sentence in records if lang in wanted)
+    by_key = _by_key(premises, "sentences")
+    groups = [
+        SentenceGroup(id=key, texts={lang: texts[lang] for lang in wanted})
+        for key, texts in by_key.items()
+        if len(texts) == len(wanted)
+    ]
+    return AssembleResult(groups, [key for key, texts in by_key.items() if len(texts) < len(wanted)])
 
 
 def attach_hard_negatives(groups: list[SentenceGroup], records: Iterable[tuple[str, str, str]]) -> None:
     """Attach (lang, key, sentence) hard negatives to matching groups in place."""
-    by_key: dict[str, dict[str, str]] = {}
-    for lang, key, sentence in records:
-        slot = by_key.setdefault(key, {})
-        if lang in slot and slot[lang] != sentence:
-            raise DataFormatError(f"conflicting hard negatives for key {key!r}, language {lang!r}")
-        slot[lang] = sentence
+    by_key = _by_key(records, "hard negatives")
     for g in groups:
         if g.id in by_key:
             g.hard_negatives = dict(sorted(by_key[g.id].items()))
@@ -293,8 +288,8 @@ def make_batches(
     k_positives: int,
     rng_seed,
     *,
-    max_len: int = 64,
-    hash_bits: int = 16,
+    max_len: int = DEFAULT_MAX_LEN,
+    hash_bits: int = DEFAULT_HASH_BITS,
     use_hard_negatives: bool = False,
     tokens: TokenCache | None = None,
 ) -> Iterator[TrainingBatch]:
@@ -510,11 +505,7 @@ def read_groups_jsonl(path: str) -> list[SentenceGroup]:
                 group = SentenceGroup(
                     id=str(obj["id"]),
                     texts={str(k): str(v) for k, v in obj["texts"].items()},
-                    hard_negatives=(
-                        {str(k): str(v) for k, v in obj["hard_negatives"].items()}
-                        if obj.get("hard_negatives")
-                        else None
-                    ),
+                    hard_negatives={str(k): str(v) for k, v in (obj.get("hard_negatives") or {}).items()},
                 )
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad group record ({exc})") from exc

@@ -64,8 +64,14 @@ _ASCII_WORD = np.array([_TOKEN_RE.match(chr(c)) is not None for c in range(128)]
 
 CHECKPOINT_MAGIC = b"MPCL"
 CHECKPOINT_VERSION = 1
+# the checkpoint header laid out above, for save_checkpoint and load_checkpoint
+_HEADER = struct.Struct("<4sIIII")
 # the largest table a config or a checkpoint may declare: 2**24 rows
 MAX_HASH_BITS = 24
+# the tokenizer's defaults, for every signature, TrainConfig and `eval --max-len`;
+# a checkpoint records its hash_bits but not the max_len it was trained with
+DEFAULT_MAX_LEN = 64
+DEFAULT_HASH_BITS = 16
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -115,7 +121,7 @@ def _check_token_args(max_len: int, hash_bits: int) -> None:
         raise ValueError(f"hash_bits must be in [1, {MAX_HASH_BITS}], got {hash_bits}")
 
 
-def tokenize(text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
+def tokenize(text: str, max_len: int = DEFAULT_MAX_LEN, hash_bits: int = DEFAULT_HASH_BITS) -> list[int]:
     """Map text to at most max_len hashed token ids.
 
     Ids land in [1, 2**hash_bits), hash_bits in [1, MAX_HASH_BITS]; id 0
@@ -130,7 +136,9 @@ def tokenize(text: str, max_len: int = 64, hash_bits: int = 16) -> list[int]:
     return [1 + fnv1a_64(w.encode("utf-8")) % space for w in words[:max_len]]
 
 
-def tokenize_many(texts: Sequence[str], max_len: int = 64, hash_bits: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def tokenize_many(
+    texts: Sequence[str], max_len: int = DEFAULT_MAX_LEN, hash_bits: int = DEFAULT_HASH_BITS
+) -> tuple[np.ndarray, np.ndarray]:
     """`tokenize` of every text at once: int64 id counts per text, and the ids end to end.
 
     Text i's ids are the counts[i] that follow the first sum(counts[:i])
@@ -491,9 +499,7 @@ def save_checkpoint(
     With rows, the table and its moments hold hashed row h at row
     rows[h]; the file gathers them back a block of rows at a time.
     """
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIII", CHECKPOINT_VERSION, params.hash_bits, params.dim, state.step
-    )
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.hash_bits, params.dim, state.step)
     crc = zlib.crc32(header)
     chunk = max(1, _CHUNK_VALUES // params.dim)
     spans = [slice(lo, lo + chunk) for lo in range(0, len(params.embedding_table), chunk)]
@@ -530,16 +536,14 @@ def load_checkpoint(
     are finite. Without moments the four moment arrays stream through
     one scratch buffer of at most _SCRATCH_VALUES, and the state is None.
     """
-    header_size = 4 + struct.calcsize("<IIII")
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
+        header = fh.read(_HEADER.size)
+        if header[:4] != CHECKPOINT_MAGIC:
             raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
         size = os.fstat(fh.fileno()).st_size
-        if size < header_size + 4:
+        if size < _HEADER.size + 4:
             raise CheckpointChecksumError(f"{path}: truncated checkpoint")
-        fields = fh.read(header_size - 4)
-        version, hash_bits, dim, step = struct.unpack("<IIII", fields)
+        _, version, hash_bits, dim, step = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
@@ -550,7 +554,7 @@ def load_checkpoint(
             raise CheckpointError(f"{path}: declared hash_bits {hash_bits}, dim {dim} out of range")
         table_shape = (1 << hash_bits, dim)
         proj_shape = (dim, dim)
-        expected = header_size + 4 * 3 * (table_shape[0] * dim + dim * dim) + 4
+        expected = _HEADER.size + 4 * 3 * (table_shape[0] * dim + dim * dim) + 4
         if size != expected:
             raise CheckpointChecksumError(
                 f"{path}: size {size} does not match the declared shapes ({expected})"
@@ -558,7 +562,7 @@ def load_checkpoint(
 
         # read each kept array in place, and each skipped one a scratch-full
         # at a time; the CRC runs over the same bytes as they come in
-        crc = zlib.crc32(magic + fields)
+        crc = zlib.crc32(header)
         finite = True
         arrays = []
         scratch = np.empty(min(_SCRATCH_VALUES, table_shape[0] * dim), dtype="<f4")

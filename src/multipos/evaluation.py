@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import TokenCache
-from .encoder import ModelParams, encode
+from .encoder import DEFAULT_MAX_LEN, ModelParams, encode
 
 # linear_probe's full-batch gradient descent: step count, rate, weight decay
 PROBE_ITERATIONS = 500
@@ -41,7 +41,7 @@ class MiningResult:
 
 
 def encode_texts(
-    params: ModelParams, texts: Sequence[str], max_len: int = 64, tokens: TokenCache | None = None
+    params: ModelParams, texts: Sequence[str], max_len: int = DEFAULT_MAX_LEN, tokens: TokenCache | None = None
 ) -> np.ndarray:
     """Unit-norm embeddings of texts, tokenized through `tokens` (a fresh TokenCache by default).
 

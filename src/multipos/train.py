@@ -22,6 +22,8 @@ import numpy as np
 from .data import SentenceGroup, TokenCache, check_fit, make_batches
 from .encoder import (
     _CHUNK_VALUES,
+    DEFAULT_HASH_BITS,
+    DEFAULT_MAX_LEN,
     MAX_HASH_BITS,
     ModelParams,
     OptimizerState,
@@ -54,7 +56,7 @@ class NonFiniteLossError(FloatingPointError):
 @dataclass
 class TrainConfig:
     batch_size: int = 128
-    max_len: int = 64
+    max_len: int = DEFAULT_MAX_LEN
     tau: float = 0.05
     warmup_steps: int = 2000
     lr_warmup: float = 2e-5
@@ -67,7 +69,7 @@ class TrainConfig:
     use_hard_negatives: bool = False
     normalization: str = "min_max"
     max_grad_norm: float | None = None
-    hash_bits: int = 16
+    hash_bits: int = DEFAULT_HASH_BITS
     dim: int = 64
 
     def __post_init__(self) -> None:

@@ -64,14 +64,23 @@ DIGESTS = {
 QUICKSTART_FINAL = "a6a4fd3c6ff8f621d2c47f737a1d099920e9d9e502a22c3ce56ba55de6990140"
 QUICKSTART_EPOCH_15 = "bea2ec2ab5ad203f387e372205c2f9bb9f4924a9235d875d3b867b173966aebf"
 
+# The configs name every TrainConfig key they rely on, so a change of
+# TrainConfig's defaults leaves what the digests cover as it is. The
+# recipe's warmup_steps and lr_warmup go unread with warm-up off.
+
 # compare's built-in recipe, as a train config
-RECIPE = dict(batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False, epochs=2)
+RECIPE = dict(
+    batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False, epochs=2,
+    max_len=64, dim=64, seed=0, objective="multi", normalization="min_max", max_grad_norm=None,
+    use_hard_negatives=False,
+)
 
 # a train config the recipe does not cover: tau != 1 takes the loss's
 # min-max path, the tight max_grad_norm clips steps, and warm-up runs
 OFF_RECIPE = dict(
     batch_size=32, k_positives=5, lr_main=6e-3, hash_bits=15, epochs=2, tau=0.05, use_hard_negatives=True,
-    max_grad_norm=0.05, warmup_steps=5, lr_warmup=1e-3,
+    max_grad_norm=0.05, warmup_steps=5, lr_warmup=1e-3, warmup_enabled=True,
+    max_len=64, dim=64, seed=0, objective="multi", normalization="min_max",
 )
 
 # a train config for groups that differ in their language and hard-negative

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import inspect
 import json
 import os
 import re
@@ -660,6 +661,13 @@ def test_eval_input_errors_exit_codes(epochs_run, tmp_path, capsys):
         out = cli.run([*ckpt, *mine, files["gold"], f"--threshold={threshold}"])
         assert out.exit_code == 1
         assert "usage error: --threshold must be finite" in capsys.readouterr().err
+
+
+def test_eval_max_len_defaults_to_the_training_default():
+    # a checkpoint does not record max_len, so eval must tokenize as training did
+    args = cli.build_parser().parse_args(["eval", "--task", "sts"])
+    assert args.max_len == TrainConfig().max_len
+    assert inspect.signature(encode_texts).parameters["max_len"].default == TrainConfig().max_len
 
 
 def _crafted_checkpoint(hash_bits: int, dim: int, step: int, fill: float = 0.0) -> bytes:

@@ -52,6 +52,10 @@ def test_assemble_groups_drops_incomplete_keys():
     assert [g.id for g in res.groups] == ["k1", "k3"]  # first-appearance order
     assert res.groups[0].texts == {"en": "hello", "de": "hallo"}
     assert res.dropped_keys == ["k2"]
+    # not sorted order: k2's first record is in a language not requested, so k3 appears first
+    records = [("fr", "k2", "x"), ("en", "k3", "c"), ("de", "k1", "b"), ("en", "k2", "d"),
+               ("en", "k1", "a"), ("de", "k2", "e"), ("de", "k3", "f")]
+    assert [g.id for g in assemble_groups(records, ["en", "de"]).groups] == ["k3", "k1", "k2"]
 
 
 def test_assemble_groups_duplicates_and_premise_rule():
@@ -59,8 +63,14 @@ def test_assemble_groups_duplicates_and_premise_rule():
     res = assemble_groups(exact_dup, ["en", "de"])
     assert res.groups[0].texts["en"] == "same"
 
-    with pytest.raises(DataFormatError, match="k9"):
+    with pytest.raises(DataFormatError, match="^conflicting sentences for key 'k9', language 'en'$"):
         assemble_groups([("en", "k9", "one"), ("en", "k9", "two")], ["en", "de"])
+    # the premise part is what must agree; a language not requested is never compared
+    res = assemble_groups(
+        [("en", "k", "same\tone"), ("en", "k", "same\ttwo"), ("de", "k", "x"), ("fr", "k", "a"), ("fr", "k", "b")],
+        ["en", "de"],
+    )
+    assert res.groups[0].texts == {"en": "same", "de": "x"}
 
     # tab-joined premise/hypothesis lines keep only the premise
     res = assemble_groups(
@@ -81,8 +91,22 @@ def test_attach_hard_negatives():
     attach_hard_negatives(groups, [("en", "k1", "not a"), ("de", "k1", "nicht b")])
     assert groups[0].hard_negatives == {"de": "nicht b", "en": "not a"}
     assert groups[1].hard_negatives is None
-    with pytest.raises(DataFormatError, match="k1"):
+    with pytest.raises(DataFormatError, match="^conflicting hard negatives for key 'k1', language 'en'$"):
         attach_hard_negatives(groups, [("en", "k1", "x"), ("en", "k1", "y")])
+    # an exact duplicate is tolerated, and a key with no group is ignored
+    attach_hard_negatives(groups, [("de", "k2", "z"), ("de", "k2", "z"), ("en", "k2", "w"), ("en", "k9", "v")])
+    assert groups[1].hard_negatives == {"de": "z", "en": "w"}
+
+
+def test_empty_hard_negatives_are_none(tmp_path):
+    group = SentenceGroup("a", {"en": "x", "de": "y"}, hard_negatives={})
+    assert group.hard_negatives is None
+    assert group == SentenceGroup("a", {"en": "x", "de": "y"})
+    path = tmp_path / "groups.jsonl"
+    write_groups_jsonl([group], str(path))
+    assert read_groups_jsonl(str(path)) == [group]
+    with pytest.raises(DatasetMismatchError, match="lacks hard negatives"):
+        check_fit([group], 1, use_hard_negatives=True)
 
 
 def _group(i: int, langs) -> SentenceGroup:

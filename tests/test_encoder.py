@@ -12,6 +12,8 @@ from multipos.encoder import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointChecksumError,
     CheckpointError,
     CheckpointMagicError,
@@ -610,6 +612,9 @@ def test_checkpoint_save_is_atomic(tmp_path):
               state.v_table, state.v_projection)
     body = b"MPCL" + struct.pack("<IIII", 1, 4, 6, 3) + b"".join(a.astype("<f4").tobytes() for a in arrays)
     assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+    # the one header Struct reads back magic, version, hash_bits, dim and step
+    header = encoder_mod._HEADER.unpack(body[: encoder_mod._HEADER.size])
+    assert header == (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 4, 6, 3)
     before = path.read_bytes()
 
     # a later save that fails after the table is written leaves the old file whole
@@ -710,8 +715,9 @@ def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(CheckpointChecksumError):
         load_checkpoint(str(bad))
 
+    # the right magic in a file shorter than the header is a truncation
     bad.write_bytes(blob[:10])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointChecksumError, match="truncated checkpoint"):
         load_checkpoint(str(bad))
 
     bad.write_bytes(blob + b"\x00")
