@@ -121,8 +121,8 @@ def mine_pairs_f1(src_embs, tgt_embs, gold_pairs, threshold: float | None = None
             raise ValueError(f"gold pair {(i, j)} outside the candidate matrices")
 
     best, scores = _top1(src, tgt)
-    n_tgt = tgt.shape[0]
-    hit = np.isin(np.arange(src.shape[0]) * n_tgt + best, [i * n_tgt + j for i, j in gold])
+    # set membership: np.isin sorts a wide gold set through np.unique, which imports numpy.ma
+    hit = np.array([(i, j) in gold for i, j in enumerate(best.tolist())])
 
     if threshold is not None:
         kept = scores >= threshold
@@ -198,10 +198,45 @@ def sts_eval(embs_a, embs_b, gold) -> float:
     return spearman(preds, gold)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _fit_probe(X: np.ndarray, y: np.ndarray, n_classes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's weights W and bias b after PROBE_ITERATIONS full-batch steps.
+
+    Each step takes diff = (softmax(X @ W + b) - onehot(y)) / n, then
+    W -= PROBE_LR * (X.T @ diff + PROBE_L2 * W) and
+    b -= PROBE_LR * diff.sum(axis=0). The steps work in buffers made
+    once, with the float operations of those expressions in their
+    order, so W and b have the bits the expressions give.
+    """
+    rng = np.random.default_rng(seed)
+    W = rng.normal(0.0, 0.01, size=(X.shape[1], n_classes))
+    b = np.zeros(n_classes)
+    n = X.shape[0]
+    rows = np.arange(n)
+    z = np.empty((n, n_classes))  # logits, then probabilities, then diff
+    row_max = np.empty((n, 1))
+    row_sum = np.empty((n, 1))
+    grad_W = np.empty_like(W)
+    decay = np.empty_like(W)
+    grad_b = np.empty_like(b)
+    for _ in range(PROBE_ITERATIONS):
+        np.matmul(X, W, out=z)
+        z += b
+        z.max(axis=1, keepdims=True, out=row_max)
+        z -= row_max
+        np.exp(z, out=z)
+        z.sum(axis=1, keepdims=True, out=row_sum)
+        z /= row_sum
+        z[rows, y] -= 1.0
+        z /= n
+        np.matmul(X.T, z, out=grad_W)
+        np.multiply(PROBE_L2, W, out=decay)
+        grad_W += decay
+        grad_W *= PROBE_LR
+        W -= grad_W
+        z.sum(axis=0, out=grad_b)
+        grad_b *= PROBE_LR
+        b -= grad_b
+    return W, b
 
 
 def linear_probe(train_embs, train_labels, test_embs, test_labels, seed: int = 0) -> float:
@@ -226,19 +261,7 @@ def linear_probe(train_embs, train_labels, test_embs, test_labels, seed: int = 0
     if unseen:
         raise ValueError(f"test labels never seen in training: {unseen}")
     index = {c: i for i, c in enumerate(classes)}
-    y = np.array([index[c] for c in labels])
-    onehot = np.zeros((X.shape[0], len(classes)))
-    onehot[np.arange(X.shape[0]), y] = 1.0
-
-    rng = np.random.default_rng(seed)
-    W = rng.normal(0.0, 0.01, size=(X.shape[1], len(classes)))
-    b = np.zeros(len(classes))
-    n = X.shape[0]
-    for _ in range(PROBE_ITERATIONS):
-        probs = _softmax_rows(X @ W + b)
-        diff = (probs - onehot) / n
-        W -= PROBE_LR * (X.T @ diff + PROBE_L2 * W)
-        b -= PROBE_LR * diff.sum(axis=0)
+    W, b = _fit_probe(X, np.array([index[c] for c in labels]), len(classes), seed)
     pred = (Xt @ W + b).argmax(axis=1)
     truth = np.array([index[c] for c in labels_t])
     return float((pred == truth).mean())

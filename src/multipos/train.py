@@ -24,10 +24,10 @@ from .encoder import (
     _CHUNK_VALUES,
     DEFAULT_HASH_BITS,
     DEFAULT_MAX_LEN,
-    MAX_HASH_BITS,
     ModelParams,
     OptimizerState,
     ParamGrads,
+    _check_token_args,
     adam_step,
     encode,
     encode_backward,
@@ -80,8 +80,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be at least 1, got {self.max_len}")
+        _check_token_args(self.max_len, self.hash_bits)
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.warmup_steps < 0:
@@ -101,8 +100,6 @@ class TrainConfig:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0.0:
             raise ValueError(f"max_grad_norm must be positive when set, got {self.max_grad_norm}")
-        if not (1 <= self.hash_bits <= MAX_HASH_BITS):
-            raise ValueError(f"hash_bits must be in [1, {MAX_HASH_BITS}], got {self.hash_bits}")
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
 

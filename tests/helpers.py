@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from multipos import evaluation as evaluation_mod
 from multipos.data import SentenceGroup, make_batches
 from multipos.encoder import (
     ADAM_BETA1,
@@ -312,6 +313,51 @@ def mining_oracle(src, tgt, gold):
         if best is None or f1 > best[0]:
             best = (f1, p, r, th)
     return best
+
+
+def mining_isin_oracle(src, tgt, gold, threshold=None):
+    """mine_pairs_f1 with hits found by np.isin over the codes i * len(tgt) + j.
+
+    Each threshold (`threshold`, or every distinct nomination score) is
+    scored in a loop. Returns (f1, precision, recall, threshold); equal
+    F1 keeps the highest threshold.
+    """
+    sims = np.asarray(src, dtype=np.float64) @ np.asarray(tgt, dtype=np.float64).T
+    best, scores = sims.argmax(axis=1), sims.max(axis=1)
+    gold = {(int(i), int(j)) for i, j in gold}
+    n_tgt = sims.shape[1]
+    hit = np.isin(np.arange(len(best)) * n_tgt + best, [i * n_tgt + j for i, j in gold])
+    result = None
+    for th in [threshold] if threshold is not None else sorted(set(scores.tolist()), reverse=True):
+        kept = scores >= th
+        tp, predicted = int(hit[kept].sum()), int(kept.sum())
+        p = tp / predicted if predicted else 0.0
+        r = tp / len(gold)
+        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        if result is None or f1 > result[0]:
+            result = (f1, p, r, th)
+    return result
+
+
+def probe_oracle(X, y, n_classes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """linear_probe's fit written as array expressions: a fresh array for each step's
+    logits, softmax, difference from the one-hot labels and update."""
+    onehot = np.zeros((X.shape[0], n_classes))
+    onehot[np.arange(X.shape[0]), y] = 1.0
+    rng = np.random.default_rng(seed)
+    W = rng.normal(0.0, 0.01, size=(X.shape[1], n_classes))
+    b = np.zeros(n_classes)
+    n = X.shape[0]
+    lr, l2 = evaluation_mod.PROBE_LR, evaluation_mod.PROBE_L2
+    for _ in range(evaluation_mod.PROBE_ITERATIONS):
+        z = X @ W + b
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs = e / e.sum(axis=1, keepdims=True)
+        diff = (probs - onehot) / n
+        W -= lr * (X.T @ diff + l2 * W)
+        b -= lr * diff.sum(axis=0)
+    return W, b
 
 
 def full_grads(table_grad, projection_grad) -> ParamGrads:

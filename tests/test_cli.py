@@ -1188,12 +1188,18 @@ def test_every_option_is_named_in_readme():
     assert not unnamed, f"options README never names: {unnamed}"
 
 
+def _child_env(drop=()) -> dict:
+    """This environment without the names in `drop`, with the package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
 def test_importing_multipos_first_runs_blas_on_one_thread():
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = _child_env(drop=names)
     # each case prints its thread count and the three variables
     report = (f"import json, os\nprint(json.dumps([len(os.listdir('/proc/self/task')), "
               f"{{v: os.environ.get(v) for v in {names!r}}}]))")
@@ -1219,12 +1225,80 @@ def test_train_leaves_numpy_ma_unimported(tmp_path):
     cfg = _tiny_train_config(tmp_path, epochs=2)
     argv = ["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "run")]
     code = f"import sys\nfrom multipos import cli\ncli.run({argv!r})\nprint('numpy.ma' in sys.modules)"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "run" / "final.ckpt").exists()
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("task,select,extra", [
+    ("retrieval", "--checkpoint-dir", ["--both-directions"]),
+    ("mine", "--checkpoint", []),
+    ("mine", "--checkpoint-dir", ["--threshold", "0.5"]),
+    ("sts", "--checkpoint-dir", []),
+    ("classify", "--checkpoint-dir", []),
+], ids=["retrieval-dir-both-directions", "mine", "mine-dir-threshold", "sts-dir", "classify-dir"])
+def test_eval_leaves_numpy_ma_unimported(epochs_run, tmp_path, task, select, extra):
+    # numpy.ma costs about 1.3 MB of peak RSS and 10-20 ms to import, and no eval task needs it
+    run_dir, files = epochs_run
+    if task == "mine":
+        # 30 gold pairs spread over the 20 x 20 candidates, the sources with an even
+        # index having two: np.isin would sort them through np.unique, which imports numpy.ma
+        gold = [(i, i) for i in range(20)] + [(i, i + 1) for i in range(0, 20, 2)]
+        path = _write(tmp_path / "gold.tsv", "".join(f"{i}\t{j}\n" for i, j in gold))
+        files = dict(files, gold=path, dev_gold=path)
+    report_flags, dev_flags = _TASK_FLAGS[task]
+    if select == "--checkpoint":
+        chosen, flags = str(run_dir / "final.ckpt"), report_flags
+    else:
+        chosen, flags = str(run_dir), report_flags + dev_flags
+    out = tmp_path / "report.json"
+    argv = ["eval", "--task", task, select, chosen, *_flag_args(files, flags), *extra, "--out", str(out)]
+    code = f"import sys\nfrom multipos import cli\ncli.run({argv!r})\nprint('numpy.ma' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["task"] == task
+    assert res.stdout.strip() == "False"
+
+
+# main() with both standard streams block-buffered, as a caller that replaced them may leave them
+_BUFFERED_MAIN = (
+    "import io, sys\n"
+    "sys.stdout, sys.stderr = (io.TextIOWrapper(open(fd, 'wb', closefd=False), 'utf-8') for fd in (1, 2))\n"
+    "from multipos.cli import main\n"
+    "main()\n"
+)
+
+
+def test_main_flushes_what_it_wrote_before_it_exits(epochs_run, tmp_path, capsys):
+    # main() leaves through os._exit, which skips the interpreter's teardown
+    # and the flush of the standard streams that comes with it
+    run_dir, files = epochs_run
+    sts = ["eval", "--task", "sts", "--checkpoint", str(run_dir / "final.ckpt"), "--pairs", files["pairs"]]
+    report = tmp_path / "report.json"
+    assert cli.run([*sts, "--out", str(report)]).exit_code == 0
+    missing = ["eval", "--task", "sts", "--checkpoint", str(tmp_path / "missing.ckpt"), "--pairs", files["pairs"]]
+    env = _child_env(drop=("PYTHONUNBUFFERED",))
+    for argv, code, err in ((sts, 0, ""), (["eval", "--task", "sts"], 1, "usage error: "), (missing, 2, "data error: ")):
+        assert cli.run(argv).exit_code == code
+        want = capsys.readouterr()
+        assert want.err.startswith(err) and want.err.count("\n") == (code != 0)
+        for entry in (["-m", "multipos.cli"], ["-c", _BUFFERED_MAIN]):
+            res = subprocess.run([sys.executable, *entry, *argv], capture_output=True, env=env, timeout=120)
+            assert (res.returncode, res.stdout.decode(), res.stderr.decode()) == (code, want.out, want.err)
+            if code == 0:
+                assert res.stdout == report.read_bytes()
+
+    # a reader that left before the report came: the interpreter's own
+    # status for a failed flush at exit, and no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "multipos.cli", *sts], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (120, b"")
 
 
 def _reads_vm_hwm() -> bool:
@@ -1249,8 +1323,7 @@ def test_train_memory_follows_the_rows_it_touches(tmp_path):
         batch_size=8, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=18, dim=64, warmup_enabled=False, epochs=2,
     )))
     argv = ["train", "--config", cfg, "--data", str(corpus / "groups.jsonl"), "--out", str(tmp_path / "run")]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     peak = "\nprint(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
 
     def peak_kib(code):
@@ -1278,8 +1351,7 @@ def test_train_interrupted_by_sigint_names_its_newest_checkpoint(tmp_path):
     recipe = dict(batch_size=32, k_positives=5, tau=1.0, lr_main=6e-3, hash_bits=15, warmup_enabled=False)
     cfg = _write(tmp_path / "cfg.json", json.dumps(dict(recipe, epochs=30)))
     run_dir = tmp_path / "run"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "multipos.cli", "train", "--config", cfg, "--data", data, "--out", str(run_dir)],
         stderr=subprocess.PIPE, text=True, env=env,

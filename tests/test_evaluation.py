@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from multipos.evaluation import (
     sts_eval,
 )
 
-from helpers import loop_average_ranks, mining_oracle, retrieval_oracle, spearman_oracle, unit_rows
+from helpers import (
+    loop_average_ranks,
+    mining_isin_oracle,
+    mining_oracle,
+    probe_oracle,
+    retrieval_oracle,
+    spearman_oracle,
+    unit_rows,
+)
 
 
 def _rand_params(rng, hash_bits=6, dim=8):
@@ -142,6 +151,26 @@ def test_mining_validation():
         mine_pairs_f1(src, src, [(-1, 0)])
     with pytest.raises(ValueError):
         mine_pairs_f1(src, np.eye(4), [(0, 0)])
+
+
+def test_mining_matches_an_isin_oracle_when_sources_have_several_gold_targets():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n, m = int(rng.integers(3, 12)), int(rng.integers(3, 8))
+        src, tgt = unit_rows(rng, n, 4), unit_rows(rng, m, 4)
+        best = (src @ tgt.T).argmax(axis=1)
+        # up to three gold targets a source; half the sources list their nomination among them
+        gold = {(i, int(j)) for i in range(n) for j in rng.choice(m, size=int(rng.integers(4)), replace=False)}
+        gold |= {(i, int(best[i])) for i in range(n) if rng.random() < 0.5}
+        gold = gold or {(0, int(best[0]))}
+        assert max(Counter(i for i, _ in gold).values()) >= 2
+        res = mine_pairs_f1(src, tgt, gold)
+        assert (res.f1, res.precision, res.recall, res.threshold) == mining_isin_oracle(src, tgt, gold)
+        for th in (res.threshold, -1.0, 0.0, 0.5):
+            fixed = mine_pairs_f1(src, tgt, gold, threshold=th)
+            assert (fixed.f1, fixed.precision, fixed.recall, fixed.threshold) == mining_isin_oracle(
+                src, tgt, gold, threshold=th
+            )
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
@@ -316,6 +345,23 @@ def test_probe_determinism_and_validation():
         linear_probe(Xtr, ytr[:-1], Xte, yte)
     with pytest.raises(ValueError):
         linear_probe(Xtr, ytr, np.zeros((4, 3)), yte[:4])
+
+
+@pytest.mark.parametrize("n,d,classes", [(7, 3, 2), (40, 8, 3), (60, 16, 5), (250, 64, 50)])
+def test_probe_fit_matches_the_expression_oracle_bit_for_bit(n, d, classes):
+    rng = np.random.default_rng(n)
+    y = rng.integers(classes, size=n)
+    spread = rng.normal(size=(n, d))
+    # all-zero rows score every class b, the same for all of them at the first
+    # step; rows near zero score them within a few ulps of each other
+    tied = spread.copy()
+    tied[::3] = 0.0
+    tied[1::3] *= 1e-12
+    for X in (spread, tied):
+        W, b = evaluation_mod._fit_probe(X, y, classes, 5)
+        W_want, b_want = probe_oracle(X, y, classes, 5)
+        assert W.tobytes() == W_want.tobytes()
+        assert b.tobytes() == b_want.tobytes()
 
 
 def test_encode_texts():
